@@ -41,12 +41,60 @@ std::string StateSet::toString() const {
 //===----------------------------------------------------------------------===//
 
 static uint32_t freshTableId() {
-  // Start at 1: per-Operation key caches use id 0 for "empty".
+  // Start at 1: per-Operation key caches and per-thread read caches use
+  // id 0 for "empty".
   static std::atomic<uint32_t> Next{1};
   return Next.fetch_add(1, std::memory_order_relaxed);
 }
 
-StateTable::StateTable() : TableId(freshTableId()) {
+/// One thread's direct-mapped cache over every table it reads, 48 KiB
+/// per thread.  Slots are tagged with the owning table's id and indexed
+/// without it, so equal ids of different tables meet in one slot and the
+/// tag alone tells them apart.  Thread storage starts zeroed and table ids
+/// start at 1, so an unfilled slot never matches.
+struct StateTable::ReadCache {
+  static constexpr unsigned TransitionBits = 11, SetBits = 10;
+
+  struct TransitionSlot {
+    uint32_t Table, Set, Op, Result;
+  };
+  struct SetSlot {
+    uint32_t Table, Id;
+    const StateSet *Set;
+  };
+
+  TransitionSlot Transitions[1u << TransitionBits];
+  SetSlot Sets[1u << SetBits];
+  /// One plus this thread's counter slot; 0 until first needed.
+  unsigned Counter;
+
+  TransitionSlot &transition(StateSetId S, OpKeyId Op) {
+    uint64_t Key = (static_cast<uint64_t>(S) << 32) | Op;
+    return Transitions[(Key * 0x9e3779b97f4a7c15ull) >> (64 - TransitionBits)];
+  }
+
+  /// Set ids are dense, so a table's first 2^SetBits sets never collide.
+  SetSlot &set(StateSetId Id) { return Sets[Id & ((1u << SetBits) - 1)]; }
+
+  unsigned counterSlot() {
+    if (!Counter) {
+      static std::atomic<unsigned> Next{0};
+      Counter = 1 + Next.fetch_add(1, std::memory_order_relaxed) %
+                        StateTable::CounterSlots;
+    }
+    return Counter - 1;
+  }
+};
+
+StateTable::ReadCache &StateTable::readCache() {
+  // Trivially constructible: zero-initialized, with no guard on access.
+  thread_local ReadCache Cache;
+  return Cache;
+}
+
+StateTable::StateTable()
+    : TableId(freshTableId()),
+      Counters(std::make_unique<CounterSlot[]>(CounterSlots)) {
   // Reserve id 0 for the empty set so emptiness checks are `Id == 0`.
   auto Entry = std::make_unique<SetEntry>();
   SetIds.emplace(std::vector<StateId>{}, EmptySetId);
@@ -104,11 +152,15 @@ StateSetId StateTable::internSet(StateSet &&S) {
 }
 
 const StateSet &StateTable::setOf(StateSetId Id) const {
-  std::shared_lock<std::shared_mutex> Lock(Mutex);
-  assert(Id < Sets.size() && "bad state-set id");
-  // The entry is immutable once published and heap-stable, so the
-  // reference survives the lock.
-  return Sets[Id]->Canonical;
+  ReadCache::SetSlot &Slot = readCache().set(Id);
+  if (Slot.Table != TableId || Slot.Id != Id) {
+    std::shared_lock<std::shared_mutex> Lock(Mutex);
+    assert(Id < Sets.size() && "bad state-set id");
+    // The entry is immutable once published and heap-stable, so the
+    // pointer survives the lock.
+    Slot = {TableId, Id, &Sets[Id]->Canonical};
+  }
+  return *Slot.Set;
 }
 
 const std::vector<StateId> &StateTable::membersOf(StateSetId Id) const {
@@ -156,33 +208,47 @@ OpKeyId StateTable::opKey(const Operation &Op) {
 }
 
 bool StateTable::lookupTransition(StateSetId S, OpKeyId Op, StateSetId &Out) {
-  uint64_t Key = (static_cast<uint64_t>(S) << 32) | Op;
-  std::shared_lock<std::shared_mutex> Lock(Mutex);
-  auto It = Transitions.find(Key);
-  if (It == Transitions.end()) {
-    TransitionMisses.fetch_add(1, std::memory_order_relaxed);
-    return false;
+  ReadCache &Cache = readCache();
+  CounterSlot &Count = Counters[Cache.counterSlot()];
+  ReadCache::TransitionSlot &Slot = Cache.transition(S, Op);
+  if (Slot.Table != TableId || Slot.Set != S || Slot.Op != Op) {
+    uint64_t Key = (static_cast<uint64_t>(S) << 32) | Op;
+    std::shared_lock<std::shared_mutex> Lock(Mutex);
+    auto It = Transitions.find(Key);
+    if (It == Transitions.end()) {
+      Count.Misses.fetch_add(1, std::memory_order_relaxed);
+      return false;
+    }
+    Slot = {TableId, S, Op, It->second};
   }
-  TransitionHits.fetch_add(1, std::memory_order_relaxed);
-  Out = It->second;
+  Count.Hits.fetch_add(1, std::memory_order_relaxed);
+  Out = Slot.Result;
   return true;
 }
 
 void StateTable::recordTransition(StateSetId S, OpKeyId Op,
                                   StateSetId Result) {
   uint64_t Key = (static_cast<uint64_t>(S) << 32) | Op;
-  std::unique_lock<std::shared_mutex> Lock(Mutex);
-  Transitions.emplace(Key, Result);
+  {
+    std::unique_lock<std::shared_mutex> Lock(Mutex);
+    Transitions.emplace(Key, Result);
+  }
+  // A racing recorder that won the emplace computed the same set, hence
+  // the same interned id, so caching ours agrees with the shared map.
+  readCache().transition(S, Op) = {TableId, S, Op, Result};
 }
 
 InternStats StateTable::stats() const {
   InternStats Out;
+  for (unsigned I = 0; I < CounterSlots; ++I) {
+    Out.TransitionMemoHits += Counters[I].Hits.load(std::memory_order_relaxed);
+    Out.TransitionMemoMisses +=
+        Counters[I].Misses.load(std::memory_order_relaxed);
+  }
   std::shared_lock<std::shared_mutex> Lock(Mutex);
   Out.StatesInterned = StateIds.size();
   Out.StateSetsInterned = Sets.size();
   Out.OpKeysInterned = OpKeys.size();
-  Out.TransitionMemoHits = TransitionHits.load(std::memory_order_relaxed);
-  Out.TransitionMemoMisses = TransitionMisses.load(std::memory_order_relaxed);
   return Out;
 }
 

@@ -38,8 +38,10 @@
 /// denotation step itself — (StateSetId, op key) -> StateSetId — so the
 /// same [[S ; op]] image is computed once and shared by every engine that
 /// consults the spec.  The table is internally synchronized: the parallel
-/// explorer's workers share one spec (and thus one transition memo) across
-/// threads.
+/// explorer's workers and the stress runtime's workers and checkers share
+/// one spec (and thus one transition memo) across threads.  Its read path
+/// — transition lookups and set-entry reads — is served from a small
+/// per-thread cache, so threads that share a table do not contend on it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -131,9 +133,17 @@ struct InternStats {
 /// (StateSetId, OpKeyId) -> StateSetId.
 ///
 /// Internally synchronized (shared_mutex for the maps, atomics for the
-/// counters) so that the parallel explorer's workers can share one spec.
-/// Interned entries are immutable once published and stored behind stable
-/// pointers, so references returned by \c setOf stay valid forever.
+/// counters) so that concurrent threads can share one spec.  Interned
+/// entries are immutable once published and stored behind stable pointers,
+/// so references returned by \c setOf stay valid forever.
+///
+/// The hot read path (lookupTransition, setOf) first consults a
+/// per-thread direct-mapped cache tagged with the table's id, filled from
+/// shared-map hits and from recordTransition.  It needs no
+/// invalidation: a cached entry is a copy of an immutable one, and table
+/// ids are never reused, so a destroyed table's entries can never match a
+/// later table.  The memo's hit/miss counts live in per-thread padded
+/// slots, so they stay exact without a shared counter line.
 class StateTable {
 public:
   /// Id 0 is always the empty set.
@@ -178,7 +188,20 @@ private:
 
   StateSetId internSorted(std::vector<StateId> Members, StateSet &&Canonical);
 
-  /// Nonzero id distinguishing this table in per-Operation key caches.
+  /// Transition-memo counters of one thread (threads beyond CounterSlots
+  /// share a slot, so updates stay atomic); stats() sums the slots.
+  struct alignas(64) CounterSlot {
+    std::atomic<uint64_t> Hits{0}, Misses{0};
+  };
+  static constexpr unsigned CounterSlots = 16;
+
+  /// The calling thread's read cache (defined in Spec.cpp).
+  struct ReadCache;
+  static ReadCache &readCache();
+
+  /// Nonzero id distinguishing this table in per-Operation key caches and
+  /// per-thread read caches.  Drawn from a process-wide counter, so it is
+  /// never reused (wrapping would take 2^32 tables).
   const uint32_t TableId;
 
   struct IdVecHash {
@@ -202,7 +225,7 @@ private:
   /// (StateSetId << 32 | OpKeyId) -> result StateSetId.
   std::unordered_map<uint64_t, StateSetId> Transitions;
 
-  std::atomic<uint64_t> TransitionHits{0}, TransitionMisses{0};
+  std::unique_ptr<CounterSlot[]> Counters;
 };
 
 /// One allowed way a method call can complete: the result it returns (if

@@ -51,6 +51,10 @@ double StressStats::abortsPerSec() const {
   return ElapsedSec > 0 ? static_cast<double>(Aborts) / ElapsedSec : 0.0;
 }
 
+double StressStats::drainSec() const {
+  return ElapsedSec > WorkersSec ? ElapsedSec - WorkersSec : 0.0;
+}
+
 double StressStats::meanWindowCheckUs() const {
   return Windows ? static_cast<double>(WindowCheckNs) /
                        static_cast<double>(Windows) / 1000.0
@@ -83,7 +87,9 @@ std::string StressStats::toString() const {
   if (WindowFailures)
     Out += " FAILURES=" + std::to_string(WindowFailures);
   std::snprintf(Rate, sizeof(Rate), "%.1f", meanWindowCheckUs());
-  Out += " check-us=" + std::string(Rate) +
+  Out += " check-us=" + std::string(Rate);
+  std::snprintf(Rate, sizeof(Rate), "%.1f", drainSec() * 1e3);
+  Out += " drain-ms=" + std::string(Rate) +
          " rings=" + std::to_string(RingRecords) + "/" +
          std::to_string(RingSpins) + "sp";
   return Out;

@@ -76,13 +76,18 @@ struct StressStats {
   /// a full ring made the producer spin-wait for the checker.
   uint64_t RingRecords = 0;
   uint64_t RingSpins = 0;
-  /// Wall-clock run time and window-check latency (checker-side).
+  /// Wall-clock run time, and the wall time until the last worker
+  /// finished; the gap is the checker drain.  Window-check latency is
+  /// checker-side.
   double ElapsedSec = 0.0;
+  double WorkersSec = 0.0;
   uint64_t WindowCheckNs = 0;
   uint64_t MaxWindowCheckNs = 0;
 
   double commitsPerSec() const;
   double abortsPerSec() const;
+  /// Seconds the checkers ran after the last worker finished.
+  double drainSec() const;
   /// Mean checker latency per window, in microseconds.
   double meanWindowCheckUs() const;
 

@@ -6,12 +6,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The capture channel between one stress worker and the window checker: a
-/// bounded single-producer/single-consumer ring of compact per-step
-/// records.  The worker appends one StressRecord per engine step (thread
-/// picked, step status, log-size/commit fingerprint); the checker drains
-/// them, advances the worker's shadow machine by the same picks, and
-/// cross-checks the fingerprints.
+/// The capture channel between one stress worker and its own window
+/// checker thread: a bounded single-producer/single-consumer ring of
+/// compact per-step records.  The worker appends one StressRecord per
+/// engine step (thread picked, step status, log-size/commit fingerprint);
+/// the checker drains them, advances the worker's shadow machine by the
+/// same picks, and cross-checks the fingerprints.
 ///
 /// Lock-free in the usual SPSC sense: producer and consumer each own one
 /// index and only *read* the other's (acquire/release), so neither ever

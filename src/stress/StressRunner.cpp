@@ -34,14 +34,22 @@ double secondsSince(std::chrono::steady_clock::time_point T0) {
       .count();
 }
 
+/// One worker's channel to its checker: the ring and the worker's
+/// termination flag.
+struct Lane {
+  RingTrace Ring;
+  std::atomic<bool> WorkerDone{false};
+
+  explicit Lane(size_t Capacity) : Ring(Capacity) {}
+};
+
 /// Everything the worker and checker threads share.  Semantic state is
-/// thread-confined; this is rings + arbiter + termination flags only.
+/// thread-confined; this is lanes + arbiter only.
 struct SharedState {
   const StressConfig &C;
   std::shared_ptr<const SequentialSpec> Spec;
   CommitArbiter Arbiter;
-  std::vector<std::unique_ptr<RingTrace>> Rings;
-  std::atomic<unsigned> WorkersDone{0};
+  std::vector<std::unique_ptr<Lane>> Lanes;
   /// Worker-side build errors (mutex-guarded; rare).
   std::mutex ErrorLock;
   std::vector<std::string> BuildErrors;
@@ -51,8 +59,20 @@ struct SharedState {
       : C(C), Spec(std::move(Spec)),
         Arbiter(C.Stripes, C.WindowCommits) {
     for (unsigned W = 0; W < C.Workers; ++W)
-      Rings.push_back(std::make_unique<RingTrace>(C.RingCapacity));
+      Lanes.push_back(std::make_unique<Lane>(C.RingCapacity));
   }
+};
+
+/// What one worker's checker found: window counters, failures in the
+/// order found, and the reproducers of its first failing rounds.
+struct CheckerResult {
+  StressStats Stats;
+  std::vector<std::string> Failures;
+  struct Dump {
+    uint32_t Round;
+    std::string Text;
+  };
+  std::vector<Dump> Dumps;
 };
 
 } // namespace
@@ -170,7 +190,7 @@ static StressStats workerLoop(SharedState &S, unsigned W) {
       R.Epoch = S.Arbiter.epoch();
       stampFingerprint(R, M, static_cast<uint32_t>(Pick), St);
       if (S.C.CheckWindows) {
-        while (!S.Rings[W]->tryPush(R)) {
+        while (!S.Lanes[W]->Ring.tryPush(R)) {
           ++L.RingSpins;
           std::this_thread::yield();
         }
@@ -181,8 +201,75 @@ static StressStats workerLoop(SharedState &S, unsigned W) {
     }
     L.Transactions += M.committed().size();
   }
-  S.WorkersDone.fetch_add(1, std::memory_order_acq_rel);
+  S.Lanes[W]->WorkerDone.store(true, std::memory_order_release);
   return L;
+}
+
+/// One worker's checker: drains that worker's ring, shadow-replays each
+/// of its rounds through a WindowChecker, and closes windows at epoch
+/// changes and round ends.
+static CheckerResult checkerLoop(SharedState &S, unsigned W) {
+  CheckerResult Out;
+  Lane &L = *S.Lanes[W];
+  std::unique_ptr<WindowChecker> Chk;
+  uint32_t Round = 0;
+  uint64_t LastCommitSeq = 0;
+
+  auto harvest = [&] {
+    if (!Chk)
+      return;
+    Chk->closeWindow();
+    Out.Stats.absorb(Chk->stats());
+    if (!Chk->failure().empty()) {
+      Out.Failures.push_back("worker " + std::to_string(W) + " round " +
+                             std::to_string(Round) + ": " + Chk->failure());
+      // The merged outcome keeps the first MaxDumps in worker order, so
+      // no worker can contribute more than that.
+      if (Out.Dumps.size() < S.C.MaxDumps)
+        Out.Dumps.push_back({Round, Chk->dumpSchedule()});
+    }
+    Chk.reset();
+  };
+
+  for (;;) {
+    StressRecord R;
+    if (!L.Ring.tryPop(R)) {
+      // The worker publishes its last record before its flag, so a set
+      // flag and an empty ring mean the stream has ended.
+      if (L.WorkerDone.load(std::memory_order_acquire) && L.Ring.size() == 0)
+        break;
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+      continue;
+    }
+    if (!Chk || R.Round != Round) {
+      harvest();
+      std::string Err;
+      WindowCheckConfig RC = buildRoundConfig(S.C, S.Spec, W, R.Round, Err);
+      Round = R.Round;
+      if (Err.empty())
+        Chk = std::make_unique<WindowChecker>(std::move(RC), Err);
+      if (!Err.empty()) {
+        Out.Failures.push_back("checker worker " + std::to_string(W) + ": " +
+                               Err);
+        Chk.reset();
+      }
+    }
+    // Arbiter contract, observed from the consumer side: one worker's
+    // commit sequence numbers arrive strictly increasing (rings are FIFO,
+    // workers commit in program order).
+    if (R.CommitSeq) {
+      if (R.CommitSeq <= LastCommitSeq)
+        Out.Failures.push_back("worker " + std::to_string(W) +
+                               ": arbiter sequence regressed (" +
+                               std::to_string(R.CommitSeq) + " after " +
+                               std::to_string(LastCommitSeq) + ")");
+      LastCommitSeq = R.CommitSeq;
+    }
+    if (Chk)
+      Chk->feed(R);
+  }
+  harvest();
+  return Out;
 }
 
 StressOutcome StressRunner::run() {
@@ -203,119 +290,53 @@ StressOutcome StressRunner::run() {
 
   SharedState S(Config, Spec);
   std::vector<StressStats> WorkerStats(Config.Workers);
+  std::vector<CheckerResult> Checks(Config.CheckWindows ? Config.Workers : 0);
   auto T0 = std::chrono::steady_clock::now();
 
-  std::vector<std::thread> Workers;
+  // One checker per worker, each owning that worker's ring, shadow
+  // machines and verdicts, so checking scales with the workers instead
+  // of serializing behind one thread.
+  std::vector<std::thread> Workers, Checkers;
   Workers.reserve(Config.Workers);
+  Checkers.reserve(Checks.size());
   for (unsigned W = 0; W < Config.Workers; ++W)
     Workers.emplace_back(
         [&S, &WorkerStats, W] { WorkerStats[W] = workerLoop(S, W); });
-
-  // The checker: one thread draining every ring, one shadow per live
-  // (worker, round), windows closed at epoch changes and round ends.
-  StressStats CheckStats;
-  std::thread Checker;
-  if (Config.CheckWindows) {
-    Checker = std::thread([this, &S, &Outcome, &CheckStats] {
-      struct PerWorker {
-        std::unique_ptr<WindowChecker> Chk;
-        uint32_t Round = 0;
-        uint64_t LastCommitSeq = 0;
-      };
-      std::vector<PerWorker> St(Config.Workers);
-
-      auto harvest = [&](unsigned W) {
-        PerWorker &P = St[W];
-        if (!P.Chk)
-          return;
-        P.Chk->closeWindow();
-        CheckStats.absorb(P.Chk->stats());
-        if (!P.Chk->failure().empty()) {
-          Outcome.Failures.push_back("worker " + std::to_string(W) +
-                                     " round " + std::to_string(P.Round) +
-                                     ": " + P.Chk->failure());
-          if (Outcome.Dumps.size() < Config.MaxDumps) {
-            std::string Text = P.Chk->dumpSchedule();
-            Outcome.Dumps.push_back(Text);
-            if (!Config.DumpDir.empty()) {
-              std::string Path = Config.DumpDir + "/ppstress-w" +
-                                 std::to_string(W) + "-r" +
-                                 std::to_string(P.Round) + ".ppsched";
-              std::ofstream Out(Path);
-              if (Out) {
-                Out << Text;
-                Outcome.DumpFiles.push_back(Path);
-              }
-            }
-          }
-        }
-        P.Chk.reset();
-      };
-
-      for (;;) {
-        bool Progress = false;
-        for (unsigned W = 0; W < Config.Workers; ++W) {
-          StressRecord R;
-          while (S.Rings[W]->tryPop(R)) {
-            Progress = true;
-            PerWorker &P = St[W];
-            if (!P.Chk || R.Round != P.Round) {
-              harvest(W);
-              std::string Err;
-              WindowCheckConfig RC =
-                  buildRoundConfig(Config, S.Spec, W, R.Round, Err);
-              P.Round = R.Round;
-              if (Err.empty())
-                P.Chk = std::make_unique<WindowChecker>(std::move(RC), Err);
-              if (!Err.empty()) {
-                Outcome.Failures.push_back("checker worker " +
-                                           std::to_string(W) + ": " + Err);
-                P.Chk.reset();
-              }
-            }
-            // Arbiter contract, observed from the consumer side: one
-            // worker's commit sequence numbers arrive strictly
-            // increasing (rings are FIFO, workers commit in program
-            // order).
-            if (R.CommitSeq) {
-              if (R.CommitSeq <= P.LastCommitSeq)
-                Outcome.Failures.push_back(
-                    "worker " + std::to_string(W) +
-                    ": arbiter sequence regressed (" +
-                    std::to_string(R.CommitSeq) + " after " +
-                    std::to_string(P.LastCommitSeq) + ")");
-              P.LastCommitSeq = R.CommitSeq;
-            }
-            if (P.Chk)
-              P.Chk->feed(R);
-          }
-        }
-        if (!Progress) {
-          if (S.WorkersDone.load(std::memory_order_acquire) ==
-              Config.Workers) {
-            bool Empty = true;
-            for (auto &Ring : S.Rings)
-              Empty = Empty && Ring->size() == 0;
-            if (Empty)
-              break;
-          }
-          std::this_thread::sleep_for(std::chrono::microseconds(100));
-        }
-      }
-      for (unsigned W = 0; W < Config.Workers; ++W)
-        harvest(W);
-    });
-  }
+  for (unsigned W = 0; W < Checks.size(); ++W)
+    Checkers.emplace_back([&S, &Checks, W] { Checks[W] = checkerLoop(S, W); });
 
   for (std::thread &T : Workers)
     T.join();
-  if (Checker.joinable())
-    Checker.join();
-
+  Outcome.Stats.WorkersSec = secondsSince(T0);
+  for (std::thread &T : Checkers)
+    T.join();
   Outcome.Stats.ElapsedSec = secondsSince(T0);
+
   for (const StressStats &WS : WorkerStats)
     Outcome.Stats.absorb(WS);
-  Outcome.Stats.absorb(CheckStats);
+  // Merge in worker order, so failures and the kept reproducers do not
+  // depend on which checker finished first.
+  for (unsigned W = 0; W < Checks.size(); ++W) {
+    CheckerResult &R = Checks[W];
+    Outcome.Stats.absorb(R.Stats);
+    Outcome.Failures.insert(Outcome.Failures.end(), R.Failures.begin(),
+                            R.Failures.end());
+    for (CheckerResult::Dump &D : R.Dumps) {
+      if (Outcome.Dumps.size() >= Config.MaxDumps)
+        break;
+      if (!Config.DumpDir.empty()) {
+        std::string Path = Config.DumpDir + "/ppstress-w" +
+                           std::to_string(W) + "-r" +
+                           std::to_string(D.Round) + ".ppsched";
+        std::ofstream Out(Path);
+        if (Out) {
+          Out << D.Text;
+          Outcome.DumpFiles.push_back(Path);
+        }
+      }
+      Outcome.Dumps.push_back(std::move(D.Text));
+    }
+  }
   for (const std::string &E : S.BuildErrors)
     Outcome.Failures.push_back(E);
   if (!S.Arbiter.monotonic())

@@ -17,18 +17,21 @@
 /// it to quiescence, so the recorded history is deterministic per
 /// (worker, round) and the checker can rebuild the identical
 /// configuration from the same three numbers.  Every engine step is
-/// recorded into the worker's SPSC RingTrace; a dedicated checker thread
-/// drains all rings, shadow-replays each worker-round through a clean
-/// machine (WindowChecker), and adjudicates each closed window against
-/// the atomic oracle.  Failures dump `.ppsched` reproducers.
+/// recorded into the worker's SPSC RingTrace; each worker has its own
+/// checker thread, which drains that worker's ring, shadow-replays each
+/// of its rounds through a clean machine (WindowChecker), and adjudicates
+/// each closed window against the atomic oracle.  After the join, run()
+/// merges the checkers' verdicts in worker order.  Failures dump
+/// `.ppsched` reproducers.
 ///
 /// Concurrency invariants, for the TSan runs that gate this subsystem:
 ///  * each live machine (and engine, and MoverChecker) is confined to
-///    its worker thread; each shadow machine to the checker thread;
+///    its worker thread; each shadow machine to its worker's checker;
 ///  * the shared spec's state table is internally synchronized, and is
 ///    the only semantic structure two threads ever touch concurrently;
-///  * workers and checker communicate exclusively through the SPSC
-///    rings plus the arbiter's atomics/stripe locks.
+///  * a worker and its checker communicate exclusively through their
+///    SPSC ring and done flag; workers share only the arbiter's
+///    atomics/stripe locks.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -55,7 +58,8 @@ struct StressConfig {
   /// appended automatically.
   std::string Engine = "boosting";
   std::map<std::string, std::string> EngineOpts;
-  /// OS worker threads, and logical machine threads per worker (>= 2, so
+  /// OS worker threads (each with its own checker thread when windows are
+  /// checked), and logical machine threads per worker (>= 2, so
   /// intra-worker interleaving exists and criterion faults can bite).
   unsigned Workers = 4;
   unsigned ThreadsPerWorker = 2;
@@ -98,10 +102,11 @@ struct StressConfig {
 struct StressOutcome {
   StressStats Stats;
   /// One line per detected failure (divergence, oracle No, fragment
-  /// exit, arbiter order violation).
+  /// exit, arbiter order violation), in worker order.
   std::vector<std::string> Failures;
-  /// Rendered `.ppsched` reproducers for failed windows (first
-  /// MaxDumps), and the paths they were written to when DumpDir is set.
+  /// Rendered `.ppsched` reproducers for failed windows (the first
+  /// MaxDumps in worker order), and the paths they were written to when
+  /// DumpDir is set.
   std::vector<std::string> Dumps;
   std::vector<std::string> DumpFiles;
   bool ok() const { return Failures.empty(); }
@@ -115,8 +120,8 @@ WindowCheckConfig buildRoundConfig(const StressConfig &C,
                                    unsigned Worker, uint32_t Round,
                                    std::string &Error);
 
-/// Runs one stress configuration: spawns workers + checker, joins them,
-/// aggregates.
+/// Runs one stress configuration: spawns the workers and one checker per
+/// worker, joins them, and merges their results in worker order.
 class StressRunner {
 public:
   explicit StressRunner(StressConfig Config) : Config(std::move(Config)) {}

@@ -3,7 +3,8 @@
 // The interning layer (StateTable) is representation only: dense ids must
 // mirror canonical-value equality exactly, and the memoized denotation
 // must agree with a from-scratch fold of SequentialSpec::successors on
-// every log.  These tests pin that contract across all seven specs.
+// every log.  These tests pin that contract across all seven specs, and
+// under threads sharing one table through their per-thread read caches.
 //
 //===----------------------------------------------------------------------===//
 
@@ -21,6 +22,7 @@
 
 #include <memory>
 #include <random>
+#include <thread>
 #include <vector>
 
 using namespace pushpull;
@@ -175,4 +177,100 @@ TEST(Interning, RepeatedDenotationIsServedFromTheMemo) {
   EXPECT_EQ(After.TransitionMemoMisses, Before.TransitionMemoMisses)
       << "second identical denotation must not recompute any transition";
   EXPECT_GT(After.TransitionMemoHits, Before.TransitionMemoHits);
+}
+
+// -- Under threads -----------------------------------------------------------
+
+TEST(Interning, ConcurrentDenotationMatchesPrivateFoldsAndCountsExactly) {
+  // Four threads denote seeded random logs on one shared instance of each
+  // spec.  Every result, read back through setOf, must equal the
+  // from-scratch fold on the thread's own private instance, and the
+  // shared memo's hits plus misses must equal the lookups made: one per
+  // applyOpId on a non-empty set.
+  constexpr unsigned Threads = 4;
+  constexpr int LogsPerSpec = 150;
+  const std::vector<std::shared_ptr<const SequentialSpec>> Shared =
+      allSpecs();
+  std::vector<std::vector<uint64_t>> Lookups(
+      Threads, std::vector<uint64_t>(Shared.size(), 0));
+  std::vector<std::vector<std::string>> Mismatches(Threads);
+
+  std::vector<std::thread> Ts;
+  for (unsigned T = 0; T < Threads; ++T)
+    Ts.emplace_back([&Shared, &Lookups, &Mismatches, T] {
+      const std::vector<std::shared_ptr<const SequentialSpec>> Private =
+          allSpecs();
+      std::mt19937 Rng(20261017 + T);
+      for (size_t K = 0; K < Shared.size(); ++K) {
+        std::vector<Operation> Probes = Private[K]->probeOps();
+        std::uniform_int_distribution<size_t> PickOp(0, Probes.size() - 1);
+        std::uniform_int_distribution<size_t> PickLen(0, 8);
+        for (int Trial = 0; Trial < LogsPerSpec; ++Trial) {
+          std::vector<Operation> Log;
+          size_t Len = PickLen(Rng);
+          for (size_t I = 0; I < Len; ++I)
+            Log.push_back(Probes[PickOp(Rng)]);
+
+          StateSetId S = Shared[K]->initialId();
+          for (const Operation &Op : Log) {
+            if (S == StateTable::EmptySetId)
+              break;
+            S = Shared[K]->applyOpId(S, Op);
+            ++Lookups[T][K];
+          }
+          StateSet Want = uncachedDenote(*Private[K], Log);
+          if (Shared[K]->setOf(S) != Want)
+            Mismatches[T].push_back(Shared[K]->name() + " trial " +
+                                    std::to_string(Trial) + ": " +
+                                    Shared[K]->setOf(S).toString() +
+                                    " != " + Want.toString());
+        }
+      }
+    });
+  for (std::thread &T : Ts)
+    T.join();
+
+  for (unsigned T = 0; T < Threads; ++T)
+    for (const std::string &M : Mismatches[T])
+      ADD_FAILURE() << "thread " << T << ", " << M;
+  for (size_t K = 0; K < Shared.size(); ++K) {
+    uint64_t Made = 0;
+    for (unsigned T = 0; T < Threads; ++T)
+      Made += Lookups[T][K];
+    InternStats St = Shared[K]->internStats();
+    EXPECT_EQ(St.TransitionMemoHits + St.TransitionMemoMisses, Made)
+        << Shared[K]->name();
+    EXPECT_GT(St.TransitionMemoHits, 0u) << Shared[K]->name();
+  }
+}
+
+TEST(Interning, NewTableNeverSeesADestroyedTablesCachedEntries) {
+  // Ids are dense per table, so a table built after another one dies
+  // reuses the same (set id, op key) numbers with other meanings, and
+  // they land in the same per-thread cache slots.  Warm this thread's
+  // cache from one table, destroy it, and read the same numbers from the
+  // next: only the new table's own entries may come back.
+  for (int Round = 0; Round < 16; ++Round) {
+    std::vector<Operation> OldProbes;
+    {
+      CounterSpec Old("ctr", 1, 4);
+      OldProbes = Old.probeOps();
+      for (const Operation &Op : OldProbes)
+        (void)Old.setOf(Old.applyOpId(Old.initialId(), Op));
+    }
+    RegisterSpec Fresh("mem", 1, 2);
+    StateTable &T = Fresh.table();
+    StateSetId Init = Fresh.initialId();
+    for (const Operation &Op : OldProbes) {
+      StateSetId Out;
+      EXPECT_FALSE(T.lookupTransition(Init, T.opKey(Op), Out))
+          << "round " << Round << ": a new table hit a transition of a "
+          << "destroyed one";
+    }
+    EXPECT_EQ(Fresh.setOf(Init), Fresh.initial()) << "round " << Round;
+    for (const Operation &Op : Fresh.probeOps())
+      EXPECT_EQ(Fresh.setOf(Fresh.applyOpId(Init, Op)),
+                uncachedDenote(Fresh, {Op}))
+          << "round " << Round << ": " << Op.toString();
+  }
 }

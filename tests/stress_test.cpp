@@ -6,7 +6,8 @@
 // end-to-end contract of the whole runtime — a planted Figure 5
 // criterion bug must be caught by the window oracle, dumped as a
 // `.ppsched` reproducer, and that reproducer must replay to the
-// identical failure, twice.
+// identical failure, twice — and the merge of the per-worker checkers'
+// verdicts.
 //
 //===----------------------------------------------------------------------===//
 
@@ -22,8 +23,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <functional>
 #include <set>
+#include <sstream>
 #include <thread>
 
 using namespace pushpull;
@@ -287,6 +293,83 @@ TEST(StressRunner, DumpedScheduleReplaysToTheIdenticalFailureTwice) {
   EXPECT_EQ(Semantic(First.toString()), Semantic(Second.toString()));
   EXPECT_EQ(First.Stats.SchedulerSteps, Second.Stats.SchedulerSteps);
   EXPECT_TRUE(Second.discrepancy());
+}
+
+/// The worker a failure line names ("worker W ..." or "checker worker
+/// W: ..."), or -1.
+int failingWorker(const std::string &F) {
+  unsigned W = 0;
+  size_t At = F.rfind("worker ", 8);
+  if (At == std::string::npos ||
+      std::sscanf(F.c_str() + At, "worker %u", &W) != 1)
+    return -1;
+  return static_cast<int>(W);
+}
+
+TEST(StressRunner, MergedCheckerResultsFollowWorkerOrder) {
+  namespace fs = std::filesystem;
+  std::string Dir =
+      (fs::temp_directory_path() / "ppstress-merge-XXXXXX").string();
+  ASSERT_NE(mkdtemp(Dir.data()), nullptr);
+
+  // Four workers, each with its own checker; some seed in this small
+  // range makes at least two of them convict their rounds.
+  StressOutcome O;
+  std::set<int> Failed;
+  for (uint64_t Seed = 1; Seed <= 8 && Failed.size() < 2; ++Seed) {
+    for (const fs::directory_entry &E : fs::directory_iterator(Dir))
+      fs::remove(E.path());
+    StressConfig C = smallConfig("pessimistic", "register");
+    C.Workers = 4;
+    C.Rounds = 4;
+    C.Seed = Seed;
+    C.DisabledCriterion = InjectedBug;
+    C.MaxDumps = 1;
+    C.DumpDir = Dir;
+    O = StressRunner(C).run();
+    Failed.clear();
+    for (const std::string &F : O.Failures)
+      Failed.insert(failingWorker(F));
+  }
+  ASSERT_GE(Failed.size(), 2u) << "fewer than two workers were convicted";
+
+  std::vector<int> Order;
+  for (const std::string &F : O.Failures)
+    Order.push_back(failingWorker(F));
+  EXPECT_TRUE(std::is_sorted(Order.begin(), Order.end()))
+      << "failures are not in worker order, first: " << O.Failures.front();
+
+  // MaxDumps = 1: one reproducer, the first failure's, kept and written.
+  ASSERT_EQ(O.Dumps.size(), 1u);
+  ASSERT_EQ(O.DumpFiles.size(), 1u);
+  size_t Files = 0;
+  for (const fs::directory_entry &E : fs::directory_iterator(Dir)) {
+    (void)E;
+    ++Files;
+  }
+  EXPECT_EQ(Files, 1u);
+  EXPECT_EQ(fs::path(O.DumpFiles[0]).parent_path(), fs::path(Dir));
+  EXPECT_EQ(fs::path(O.DumpFiles[0]).filename().string().rfind(
+                "ppstress-w" + std::to_string(Order.front()) + "-r", 0),
+            0u)
+      << O.DumpFiles[0];
+  std::ifstream In(O.DumpFiles[0]);
+  std::stringstream Written;
+  Written << In.rdbuf();
+  EXPECT_EQ(Written.str(), O.Dumps[0]);
+
+  // The kept dump replays to the discrepancy its checker reported.
+  ScenarioParseResult PR = parseScenario(O.Dumps[0]);
+  ASSERT_TRUE(PR.ok()) << PR.Error;
+  DiffReport R = DiffRunner().run(fromScenario(*PR.Parsed));
+  ASSERT_TRUE(R.Built) << R.BuildError;
+  EXPECT_TRUE(R.discrepancy()) << R.toString();
+  if (O.Failures.front().find("atomic oracle") != std::string::npos)
+    EXPECT_EQ(R.Serializable, Tri::No) << R.toString();
+  else if (O.Failures.front().find("opacity") != std::string::npos)
+    EXPECT_TRUE(R.OpacityViolated) << R.toString();
+
+  fs::remove_all(Dir);
 }
 
 TEST(StressRunner, CleanRunStaysCleanWithoutInjection) {

@@ -2,11 +2,12 @@
 //
 // Drives N OS worker threads, each running a TM engine instance over a
 // shared spec, through the sharded commit arbiter.  Every engine step is
-// recorded into per-worker lock-free rings; a checker thread
-// shadow-replays each captured window through the single-threaded
-// machine and validates it against the atomic oracle (Theorem 5.17) and
-// the Section 6.1 opaque fragment.  Failing windows dump `.ppsched`
-// reproducers that --replay re-executes deterministically.
+// recorded into per-worker lock-free rings; one checker thread per
+// worker shadow-replays that worker's captured windows through the
+// single-threaded machine and validates them against the atomic oracle
+// (Theorem 5.17) and the Section 6.1 opaque fragment.  Failing windows
+// dump `.ppsched` reproducers that --replay re-executes
+// deterministically.
 //
 //   ppstress --engine boosting --spec counter --workers 8
 //   ppstress --all-engines --workers 4
@@ -15,9 +16,11 @@
 // Options:
 //   --engine NAME          TM engine (default boosting)
 //   --spec KIND            spec kind (default counter)
-//   --workers N            OS worker threads (default 4)
+//   --workers N            OS worker threads, each with its own checker
+//                          thread (default 4, at least 1)
 //   --threads-per-worker N logical machine threads per worker (default 2)
-//   --rounds N             workload rounds per worker (default 6)
+//   --rounds N             workload rounds per worker (default 6; at
+//                          least 1 unless --duration-ms is given)
 //   --duration-ms N        run rounds until the wall clock expires
 //                          (overrides --rounds)
 //   --think-us N           client think time after each commit (the E13
@@ -36,12 +39,14 @@
 //   --no-check             disable window checking (pure throughput)
 //   --all-engines          run every engine over the chosen spec
 //   --bench                one-line machine-readable summary per run
+//                          (drain_sec: checker time after the last
+//                          worker finished)
 //   --replay FILE          re-execute a .ppsched reproducer through the
 //                          differential battery
 //
-// Exit status: 0 clean, 1 failure detected (inverted by
-// --expect-failure), 2 usage/build error.  --replay: 0 clean, 1
-// discrepancy, 2 error.
+// Numbers are whole decimals that fit their field.  Exit status: 0
+// clean, 1 failure detected (inverted by --expect-failure), 2
+// usage/build error.  --replay: 0 clean, 1 discrepancy, 2 error.
 //
 //===----------------------------------------------------------------------===//
 
@@ -53,7 +58,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <type_traits>
 
 using namespace pushpull;
 
@@ -91,13 +98,13 @@ static int runOne(const StressConfig &C, bool Bench) {
   if (Bench) {
     std::printf("BENCH engine=%s spec=%s workers=%u commits=%llu "
                 "commits_per_sec=%.1f aborts=%llu windows=%llu "
-                "elapsed_sec=%.3f\n",
+                "elapsed_sec=%.3f drain_sec=%.4f\n",
                 C.Engine.c_str(), C.SpecKind.c_str(), C.Workers,
                 static_cast<unsigned long long>(O.Stats.Commits),
                 O.Stats.commitsPerSec(),
                 static_cast<unsigned long long>(O.Stats.Aborts),
                 static_cast<unsigned long long>(O.Stats.Windows),
-                O.Stats.ElapsedSec);
+                O.Stats.ElapsedSec, O.Stats.drainSec());
   } else {
     std::printf("%-14s %s\n", C.Engine.c_str(), O.Stats.toString().c_str());
   }
@@ -114,13 +121,29 @@ int main(int argc, char **argv) {
   bool AllEngines = false, Bench = false, ExpectFailure = false;
   const char *ReplayPath = nullptr;
 
-  auto NumArg = [&](int &I, const char *Flag, long &Out) {
+  // A whole decimal that fits \p Out's type: digits only, no sign, no
+  // trailing characters, no overflow.
+  auto NumArg = [&](int &I, const char *Flag, auto &Out) {
     if (std::strcmp(argv[I], Flag) != 0)
       return false;
-    if (I + 1 >= argc || (Out = std::strtol(argv[++I], nullptr, 10)) < 0) {
-      std::fprintf(stderr, "error: %s needs a non-negative integer\n", Flag);
+    using T = std::remove_reference_t<decltype(Out)>;
+    const uint64_t Max = std::numeric_limits<T>::max();
+    const char *Text = I + 1 < argc ? argv[++I] : "";
+    uint64_t V = 0;
+    bool Ok = *Text != '\0';
+    for (const char *P = Text; Ok && *P; ++P) {
+      uint64_t D = static_cast<uint64_t>(*P - '0');
+      Ok = *P >= '0' && *P <= '9' && V <= (Max - D) / 10;
+      V = V * 10 + D;
+    }
+    if (!Ok) {
+      std::fprintf(stderr,
+                   "error: %s needs a whole number from 0 to %llu, got "
+                   "'%s'\n",
+                   Flag, static_cast<unsigned long long>(Max), Text);
       std::exit(2);
     }
+    Out = static_cast<T>(V);
     return true;
   };
   auto StrArg = [&](int &I, const char *Flag, const char *&Out) {
@@ -135,7 +158,6 @@ int main(int argc, char **argv) {
   };
 
   for (int I = 1; I < argc; ++I) {
-    long N = 0;
     const char *S = nullptr;
     if (StrArg(I, "--replay", S)) {
       ReplayPath = S;
@@ -157,46 +179,26 @@ int main(int argc, char **argv) {
       C.DumpDir = S;
       continue;
     }
-    if (NumArg(I, "--workers", N)) {
-      C.Workers = static_cast<unsigned>(N);
+    if (NumArg(I, "--workers", C.Workers))
       continue;
-    }
-    if (NumArg(I, "--threads-per-worker", N)) {
-      C.ThreadsPerWorker = static_cast<unsigned>(N);
+    if (NumArg(I, "--threads-per-worker", C.ThreadsPerWorker))
       continue;
-    }
-    if (NumArg(I, "--rounds", N)) {
-      C.Rounds = static_cast<unsigned>(N);
+    if (NumArg(I, "--rounds", C.Rounds))
       continue;
-    }
-    if (NumArg(I, "--duration-ms", N)) {
-      C.DurationMs = static_cast<uint64_t>(N);
+    if (NumArg(I, "--duration-ms", C.DurationMs))
       continue;
-    }
-    if (NumArg(I, "--think-us", N)) {
-      C.ThinkUs = static_cast<unsigned>(N);
+    if (NumArg(I, "--think-us", C.ThinkUs))
       continue;
-    }
-    if (NumArg(I, "--tx", N)) {
-      C.TxPerThread = static_cast<unsigned>(N);
+    if (NumArg(I, "--tx", C.TxPerThread))
       continue;
-    }
-    if (NumArg(I, "--ops", N)) {
-      C.OpsPerTx = static_cast<unsigned>(N);
+    if (NumArg(I, "--ops", C.OpsPerTx))
       continue;
-    }
-    if (NumArg(I, "--seed", N)) {
-      C.Seed = static_cast<uint64_t>(N);
+    if (NumArg(I, "--seed", C.Seed))
       continue;
-    }
-    if (NumArg(I, "--stripes", N)) {
-      C.Stripes = static_cast<unsigned>(N);
+    if (NumArg(I, "--stripes", C.Stripes))
       continue;
-    }
-    if (NumArg(I, "--window", N)) {
-      C.WindowCommits = static_cast<uint64_t>(N);
+    if (NumArg(I, "--window", C.WindowCommits))
       continue;
-    }
     if (std::strcmp(argv[I], "--no-check") == 0) {
       C.CheckWindows = false;
       continue;
@@ -227,6 +229,16 @@ int main(int argc, char **argv) {
 
   if (ReplayPath)
     return replay(ReplayPath);
+  if (C.Workers == 0) {
+    std::fprintf(stderr, "error: --workers must be at least 1\n");
+    return 2;
+  }
+  if (C.Rounds == 0 && C.DurationMs == 0) {
+    std::fprintf(stderr,
+                 "error: --rounds must be at least 1 unless --duration-ms "
+                 "is given\n");
+    return 2;
+  }
 
   int Rc = 0;
   if (AllEngines) {
