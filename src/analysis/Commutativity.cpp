@@ -190,11 +190,7 @@ CommutativityAnalysis::CommutativityAnalysis(const SequentialSpec &Spec,
                                              MoverChecker &Movers,
                                              size_t MaxReachableSets)
     : Spec(Spec), Movers(Movers), MaxReachableSets(MaxReachableSets),
-      Probes(Spec.probeOps()) {
-  ProbeKeys.reserve(Probes.size());
-  for (const Operation &P : Probes)
-    ProbeKeys.push_back(Spec.table().opKey(P));
-}
+      Probes(Spec.probes()), ProbeKeys(Spec.probeKeys()) {}
 
 const ReachableFamily &CommutativityAnalysis::family() {
   if (!FamilyComputed) {

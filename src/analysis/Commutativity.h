@@ -193,8 +193,9 @@ private:
   const SequentialSpec &Spec;
   MoverChecker &Movers;
   size_t MaxReachableSets;
-  std::vector<Operation> Probes;
-  std::vector<OpKeyId> ProbeKeys;
+  /// The spec's probe alphabet and its interned keys (owned by the spec).
+  const std::vector<Operation> &Probes;
+  const std::vector<OpKeyId> &ProbeKeys;
   bool FamilyComputed = false;
   ReachableFamily Fam;
   /// Unordered-pair memo: (min<<32|max) -> verified strong verdict +

@@ -129,7 +129,7 @@ struct LintContext {
 /// Enumerate the union of reachable spec states under the probe alphabet,
 /// up to \p Cap states.  Returns empty on overflow.
 std::vector<State> reachableStates(const SequentialSpec &Spec, size_t Cap) {
-  std::vector<Operation> Probes = Spec.probeOps();
+  const std::vector<Operation> &Probes = Spec.probes();
   std::set<State> Seen;
   std::vector<State> Frontier = Spec.initialStates();
   for (State &S : Frontier)

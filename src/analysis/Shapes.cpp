@@ -69,10 +69,9 @@ AbstractShape::describe(const std::vector<Operation> &Alphabet) const {
 
 std::vector<Operation> pushpull::shapeAlphabet(const SequentialSpec &Spec,
                                                unsigned MaxAlphabet) {
-  std::vector<Operation> Ops = Spec.probeOps();
-  if (Ops.size() > MaxAlphabet)
-    Ops.resize(MaxAlphabet);
-  return Ops;
+  const std::vector<Operation> &Ops = Spec.probes();
+  return std::vector<Operation>(
+      Ops.begin(), Ops.begin() + std::min<size_t>(Ops.size(), MaxAlphabet));
 }
 
 namespace {

@@ -26,7 +26,7 @@ Tri pushpull::pullCommutationSafe(const PushPullMachine &M, TxId T,
   if (!Th.InTx)
     return Tri::Yes; // Nothing left to execute.
 
-  std::vector<Operation> Probes = M.spec().probeOps();
+  const std::vector<Operation> &Probes = M.spec().probes();
   MoverChecker &Movers = M.movers();
 
   Tri Out = Tri::Yes;

@@ -21,12 +21,16 @@ SerializabilityVerdict SerializabilityChecker::checkOrder(
   for (const CommittedTx &T : Txs)
     Serial.push_back({T.Body, T.Sigma, T.FinalSigma});
 
+  // |G|_gCmt =< l depends on l only through [[l]] (Definition 3.1), so the
+  // committed log is denoted once and the atomic runs are searched on
+  // their denotations.
+  StateSetId Target = Spec.denoteId(CommittedLog);
   AtomicMachine Atomic(Spec, Limits);
   bool SawUnknown = false;
-  bool Found = Atomic.searchSerial(
-      Serial, {}, [&](const AtomicOutcome &O) {
+  bool Found =
+      Atomic.searchSerialDenotations(Serial, [&](StateSetId Final) {
         ++Out.OutcomesTried;
-        Tri V = Pre.checkLogs(CommittedLog, O.Log);
+        Tri V = Pre.check(Target, Final);
         if (V == Tri::Unknown)
           SawUnknown = true;
         return V == Tri::Yes;
@@ -38,7 +42,7 @@ SerializabilityVerdict SerializabilityChecker::checkOrder(
       Out.WitnessOrder.push_back(T.Tid);
     return Out;
   }
-  if (SawUnknown || Out.OutcomesTried >= Limits.MaxOutcomes) {
+  if (SawUnknown || Atomic.truncated()) {
     Out.Serializable = Tri::Unknown;
     Out.Detail = "search exhausted its resource bounds";
     return Out;

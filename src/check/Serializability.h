@@ -15,6 +15,13 @@
 /// machine of Figure 3 — in commit order, or over all permutations — and
 /// asks the precongruence engine whether |G|_gCmt =< atomic log.
 ///
+/// The question depends on the atomic log only through its denotation, so
+/// the search runs on denotations (AtomicMachine::searchSerialDenotations):
+/// [[|G|_gCmt]] is computed once, each distinct final denotation S of an
+/// atomic run is tried once, and the first S with [[|G|_gCmt]] =< S is the
+/// witness.  A search cut short by AtomicLimits::MaxOutcomes without a
+/// witness is Unknown, never No.
+///
 /// The simulation proof constructs the witness in commit order (the CMT
 /// rule is the linearization point), so checkCommitOrder succeeding is the
 /// expected outcome for every criteria-respecting run; checkAnyOrder exists
@@ -41,7 +48,7 @@ struct SerializabilityVerdict {
   Tri Serializable = Tri::Unknown;
   /// Thread ids of the witnessing serial order (when Yes).
   std::vector<TxId> WitnessOrder;
-  /// Number of atomic outcomes examined.
+  /// Number of distinct final denotations of atomic runs examined.
   uint64_t OutcomesTried = 0;
   std::string Detail;
 };

@@ -21,6 +21,19 @@
 /// independent ground truth, searching atomic runs for one whose log the
 /// concurrent committed log is precongruent to.
 ///
+/// Two forms of the serial search exist.  searchSerial is Figure 3 to the
+/// letter: it builds every atomic log operation by operation and hands
+/// each complete log to the caller; tests use it as the log-level
+/// reference.  searchSerialDenotations is the oracle's form.  Precongruence
+/// (Definition 3.1) sees a log only through its denotation [[l]], so the
+/// search carries the interned StateSetId of the atomic log instead of the
+/// log.  Every transaction restarts from its own recorded stack, so what
+/// follows a transaction boundary depends only on (transaction index,
+/// denotation), and the search explores each such pair at most once.  The
+/// caller sees each distinct final denotation once.  Both forms share the
+/// MaxOutcomes budget, which counts every BSFIN emission; truncated()
+/// says whether the budget cut the last search short.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PUSHPULL_CORE_ATOMIC_H
@@ -45,7 +58,8 @@ struct AtomicOutcome {
 struct AtomicLimits {
   /// Maximum operations per transaction (bounds loop unrolling).
   size_t MaxOpsPerTx = 64;
-  /// Stop after this many complete outcomes per big-step.
+  /// Stop after this many complete outcomes (BSFIN emissions, counted
+  /// over every transaction of a serial search) per big-step or search.
   size_t MaxOutcomes = 100000;
 };
 
@@ -73,10 +87,21 @@ public:
   /// Run \p Txs serially in the given order from \p Log (AM_RUNTX chained);
   /// enumerate final logs, calling \p Consume on each.  Enumeration stops
   /// early when \p Consume returns true ("found what I was looking for");
-  /// the return value says whether it ever did.
+  /// the return value says whether it ever did.  The log-level reference
+  /// for searchSerialDenotations.
   bool searchSerial(const std::vector<AtomicTx> &Txs,
                     const std::vector<Operation> &Log,
                     const std::function<bool(const AtomicOutcome &)> &Consume);
+
+  /// The same serial runs from the initial states, on denotations: calls
+  /// \p Consume once per distinct final denotation [[l]] of an atomic log
+  /// l, and stops when it returns true; the return value says whether it
+  /// ever did.  Explores each (transaction index, denotation) pair once.
+  bool searchSerialDenotations(const std::vector<AtomicTx> &Txs,
+                               const std::function<bool(StateSetId)> &Consume);
+
+  /// Did the MaxOutcomes budget cut the last bigStep/canRun/search short?
+  bool truncated() const { return Truncated; }
 
   /// Convenience: is there any complete big-step of \p C at all?
   bool canRun(const CodePtr &C, const Stack &Sigma,
@@ -92,10 +117,31 @@ private:
       StateSet S, std::vector<Operation> &Log,
       const std::function<bool(const AtomicOutcome &)> &Consume);
 
+  /// One denotational search (searchSerialDenotations).
+  struct DenotationSearch;
+  bool runTxFrom(DenotationSearch &D, size_t Next, StateSetId S);
+  bool bigStepId(DenotationSearch &D, size_t Next, const CodePtr &C,
+                 const Stack &Sigma, StateSetId S, size_t OpsUsed);
+
+  /// Start counting a fresh bigStep/canRun/search against the budget.
+  void resetBudget() {
+    OutcomesEmitted = 0;
+    Truncated = false;
+  }
+  /// Has the current bigStep/canRun/search used up MaxOutcomes?  Callers
+  /// stop when it has, so a yes also records the search as truncated.
+  bool budgetSpent() {
+    if (OutcomesEmitted < Limits.MaxOutcomes)
+      return false;
+    Truncated = true;
+    return true;
+  }
+
   const SequentialSpec &Spec;
   AtomicLimits Limits;
   OpIdSource Ids;
   size_t OutcomesEmitted = 0;
+  bool Truncated = false;
 };
 
 } // namespace pushpull

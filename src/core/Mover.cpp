@@ -19,11 +19,8 @@ void MoverChecker::ensureReachable() {
 
   std::unordered_set<StateSetId> Seen;
   std::deque<StateSetId> Frontier;
-  std::vector<Operation> Probes = Spec.probeOps();
-  std::vector<OpKeyId> ProbeKeys;
-  ProbeKeys.reserve(Probes.size());
-  for (const Operation &Op : Probes)
-    ProbeKeys.push_back(Spec.table().opKey(Op));
+  const std::vector<Operation> &Probes = Spec.probes();
+  const std::vector<OpKeyId> &ProbeKeys = Spec.probeKeys();
 
   StateSetId Init = Spec.initialId();
   Seen.insert(Init);

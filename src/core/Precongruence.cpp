@@ -12,11 +12,8 @@ static uint64_t pairKey(StateSetId S1, StateSetId S2) {
 
 PrecongruenceChecker::PrecongruenceChecker(const SequentialSpec &Spec,
                                            PrecongruenceLimits Limits)
-    : Spec(Spec), Limits(Limits), Probes(Spec.probeOps()) {
-  ProbeKeys.reserve(Probes.size());
-  for (const Operation &Op : Probes)
-    ProbeKeys.push_back(Spec.table().opKey(Op));
-}
+    : Spec(Spec), Limits(Limits), Probes(Spec.probes()),
+      ProbeKeys(Spec.probeKeys()) {}
 
 Tri PrecongruenceChecker::check(const StateSet &S1, const StateSet &S2) {
   return check(Spec.internSet(S1), Spec.internSet(S2));

@@ -91,9 +91,9 @@ public:
 private:
   const SequentialSpec &Spec;
   PrecongruenceLimits Limits;
-  std::vector<Operation> Probes;
-  /// Interned denotation keys of Probes, index-aligned.
-  std::vector<OpKeyId> ProbeKeys;
+  /// The spec's probe alphabet and its interned keys (owned by the spec).
+  const std::vector<Operation> &Probes;
+  const std::vector<OpKeyId> &ProbeKeys;
 
   /// Pairs proved related by a completed (counterexample-free) query.
   std::unordered_set<uint64_t> KnownGood;

@@ -268,7 +268,7 @@ std::string MethodSig::toString() const {
 
 std::vector<MethodSig> SequentialSpec::methods() const {
   std::vector<MethodSig> Out;
-  for (const Operation &Op : probeOps()) {
+  for (const Operation &Op : probes()) {
     bool Found = false;
     for (MethodSig &S : Out)
       if (S.Object == Op.Call.Object && S.Method == Op.Call.Method) {
@@ -286,6 +286,24 @@ std::vector<MethodSig> SequentialSpec::methods() const {
     Out.push_back(std::move(S));
   }
   return Out;
+}
+
+const SequentialSpec::ProbeAlphabet &SequentialSpec::probeAlphabet() const {
+  std::call_once(ProbesOnce, [this] {
+    Probes.Ops = probeOps();
+    Probes.Keys.reserve(Probes.Ops.size());
+    for (const Operation &Op : Probes.Ops)
+      Probes.Keys.push_back(Table.opKey(Op));
+  });
+  return Probes;
+}
+
+const std::vector<Operation> &SequentialSpec::probes() const {
+  return probeAlphabet().Ops;
+}
+
+const std::vector<OpKeyId> &SequentialSpec::probeKeys() const {
+  return probeAlphabet().Keys;
 }
 
 StateSet SequentialSpec::initial() const {

@@ -20,7 +20,10 @@
 ///  * completions: which results a method call may return from a state
 ///    (used by APP and by the atomic machine's big-step reduction);
 ///  * a finite probe alphabet for the executable coinductive checks
-///    (precongruence, Definition 3.1; left-mover, Definition 4.1);
+///    (precongruence, Definition 3.1; left-mover, Definition 4.1).  The
+///    spec computes it once, with its interned keys, on first use
+///    (probes()/probeKeys()), and every checker over the spec reads that
+///    one copy;
 ///  * an optional algebraic left-mover hint (e.g. "operations on different
 ///    keys commute"), the executable form of the commutativity reasoning
 ///    transactional boosting performs with abstract locks.
@@ -54,6 +57,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <shared_mutex>
 #include <string>
 #include <unordered_map>
@@ -282,7 +286,8 @@ public:
   /// A finite probe alphabet of fully resolved operations.  The executable
   /// precongruence/left-mover checks quantify over this alphabet instead of
   /// over all operations; specs must make it complete enough to distinguish
-  /// the states they can reach (tests cross-check this).
+  /// the states they can reach (tests cross-check this).  Read-only callers
+  /// use probes(), which builds the alphabet once per spec.
   virtual std::vector<Operation> probeOps() const = 0;
 
   /// Optional algebraic mover hint for "\p A can move to the left of \p B"
@@ -292,7 +297,7 @@ public:
   virtual Tri leftMoverHint(const Operation &A, const Operation &B) const;
 
   /// The method surface of this specification, for static checking.  The
-  /// default derives it from probeOps() — one signature per distinct
+  /// default derives it from probes() — one signature per distinct
   /// (object, method), arity from the probe's argument count, result-ness
   /// from whether any probe carries a Result — which is exact whenever the
   /// probe alphabet covers every method at its real arity.  The shipped
@@ -301,6 +306,14 @@ public:
   virtual std::vector<MethodSig> methods() const;
 
   // -- Derived, non-virtual helpers ---------------------------------------
+
+  /// The probe alphabet: probeOps(), computed once per spec on first use
+  /// (thread-safe).  The reference is stable for the spec's lifetime.
+  const std::vector<Operation> &probes() const;
+
+  /// The interned denotation keys of probes(), index-aligned; computed
+  /// with it.  The reference is stable for the spec's lifetime.
+  const std::vector<OpKeyId> &probeKeys() const;
 
   /// The denotation of the empty log: the set of initial states.
   StateSet initial() const;
@@ -364,9 +377,17 @@ public:
   InternStats internStats() const { return Table.stats(); }
 
 private:
+  struct ProbeAlphabet {
+    std::vector<Operation> Ops;
+    std::vector<OpKeyId> Keys;
+  };
+  const ProbeAlphabet &probeAlphabet() const;
+
   mutable StateTable Table;
   mutable std::atomic<StateSetId> CachedInitial{NoInitial};
   static constexpr StateSetId NoInitial = 0xffffffff;
+  mutable std::once_flag ProbesOnce;
+  mutable ProbeAlphabet Probes;
 };
 
 } // namespace pushpull

@@ -102,12 +102,18 @@ Arena::~Arena() { rewind(Mark{}); }
 //===----------------------------------------------------------------------===//
 //
 // Power-of-two size classes from 32 bytes to 16 KiB.  Each live thread
-// keeps a free list per class; refills carve a slab from a process-wide
-// arena under a mutex, and a thread's leftover lists are spliced back into
-// the global pool when the thread exits (parallel-explorer workers are
-// short-lived).  Chunks freed on a different thread than they were
-// allocated on simply land in the freeing thread's list — the backing slab
-// memory is never released, so no list ever points into freed storage.
+// keeps a free list per class.  The global pool keeps, per class, a stack
+// of runs: whole free lists, linked through their head nodes.  A thread
+// that runs dry adopts one run (or, when there is none, carves a fresh
+// slab from a process-wide arena) under a mutex, and an exiting thread
+// hands each non-empty list back as one run, in O(1) per class (parallel
+// explorer workers and stress threads are short-lived).  Adopting one run
+// rather than the whole pool matters: threads that run dry together each
+// get a run back instead of one taking everything and the rest carving
+// new slabs, so the pool stops growing at its peak concurrent demand.
+// Chunks freed on a different thread than they were allocated on simply
+// land in the freeing thread's list — the backing slab memory is never
+// released, so no list ever points into freed storage.
 
 #ifndef PUSHPULL_ASAN
 
@@ -120,12 +126,15 @@ constexpr size_t SlabBytes = 64 * 1024;
 
 struct FreeNode {
   FreeNode *Next;
+  /// Set on the head node of a run in the global pool: the next run.
+  FreeNode *NextRun;
 };
 
 struct GlobalPool {
   std::mutex Mutex;
   Arena Slabs;
-  FreeNode *Lists[NumClasses] = {};
+  /// Per class, the top run (its head node), or null.
+  FreeNode *Runs[NumClasses] = {};
 
   static GlobalPool &get() {
     static GlobalPool P;
@@ -145,17 +154,16 @@ struct ThreadCache {
   FreeNode *Lists[NumClasses] = {};
 
   ~ThreadCache() {
-    // Splice every local list back into the global pool so chunks freed
-    // on a dying worker thread stay reusable.
+    // Hand every local list back as one run so chunks freed on a dying
+    // worker thread stay reusable.
     GlobalPool &G = GlobalPool::get();
     std::lock_guard<std::mutex> Lock(G.Mutex);
     for (size_t C = 0; C < NumClasses; ++C) {
-      while (Lists[C]) {
-        FreeNode *N = Lists[C];
-        Lists[C] = N->Next;
-        N->Next = G.Lists[C];
-        G.Lists[C] = N;
-      }
+      if (!Lists[C])
+        continue;
+      Lists[C]->NextRun = G.Runs[C];
+      G.Runs[C] = Lists[C];
+      Lists[C] = nullptr;
     }
   }
 };
@@ -173,10 +181,10 @@ void *pushpull::chunkAlloc(size_t Bytes) {
     size_t ClassBytes = size_t{1} << (C + MinClassLog2);
     GlobalPool &G = GlobalPool::get();
     std::lock_guard<std::mutex> Lock(G.Mutex);
-    if (G.Lists[C]) {
-      // Adopt the whole global list for this class.
-      Head = G.Lists[C];
-      G.Lists[C] = nullptr;
+    if (G.Runs[C]) {
+      // Adopt one run; the others stay for threads that run dry later.
+      Head = G.Runs[C];
+      G.Runs[C] = Head->NextRun;
     } else {
       size_t Count = SlabBytes / ClassBytes;
       auto *Slab = static_cast<unsigned char *>(

@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include <latch>
 #include <memory>
 #include <random>
 #include <thread>
@@ -272,5 +273,42 @@ TEST(Interning, NewTableNeverSeesADestroyedTablesCachedEntries) {
       EXPECT_EQ(Fresh.setOf(Fresh.applyOpId(Init, Op)),
                 uncachedDenote(Fresh, {Op}))
           << "round " << Round << ": " << Op.toString();
+  }
+}
+
+TEST(Interning, RacingFirstUseBuildsOneProbeAlphabet) {
+  // Four threads race on the first probes()/probeKeys() of one fresh spec:
+  // all must get the same vectors, and the keys must be the ones a
+  // sequential opKey over probeOps() interns.
+  constexpr unsigned Threads = 4;
+  MapSpec Spec("map", 2, 2);
+  std::vector<const std::vector<Operation> *> Ops(Threads);
+  std::vector<const std::vector<OpKeyId> *> Keys(Threads);
+  std::latch Start(Threads);
+  std::vector<std::thread> Ts;
+  for (unsigned T = 0; T < Threads; ++T)
+    Ts.emplace_back([&, T] {
+      Start.arrive_and_wait();
+      if (T % 2) {
+        Keys[T] = &Spec.probeKeys();
+        Ops[T] = &Spec.probes();
+      } else {
+        Ops[T] = &Spec.probes();
+        Keys[T] = &Spec.probeKeys();
+      }
+    });
+  for (std::thread &T : Ts)
+    T.join();
+
+  for (unsigned T = 1; T < Threads; ++T) {
+    EXPECT_EQ(Ops[T], Ops[0]) << "thread " << T;
+    EXPECT_EQ(Keys[T], Keys[0]) << "thread " << T;
+  }
+  std::vector<Operation> Want = Spec.probeOps();
+  ASSERT_EQ(Ops[0]->size(), Want.size());
+  ASSERT_EQ(Keys[0]->size(), Want.size());
+  for (size_t I = 0; I < Want.size(); ++I) {
+    EXPECT_EQ((*Ops[0])[I].toString(), Want[I].toString()) << I;
+    EXPECT_EQ((*Keys[0])[I], Spec.table().opKey(Want[I])) << I;
   }
 }

@@ -3,13 +3,20 @@
 #include "check/Serializability.h"
 
 #include "TestUtil.h"
+#include "fuzz/DiffRunner.h"
+#include "fuzz/Generator.h"
 #include "lang/Parser.h"
+#include "sim/Scheduler.h"
 #include "spec/RegisterSpec.h"
 #include "spec/SetSpec.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+
 using namespace pushpull;
+using testutil::mkOp;
 
 namespace {
 
@@ -37,6 +44,64 @@ PushPullMachine interleavedSetRun(const SetSpec &Spec, MoverChecker &Movers) {
   EXPECT_TRUE(M.push(T1, M.thread(T1).L.size() - 1).Applied);
   EXPECT_TRUE(M.commit(T1).Applied);
   return M;
+}
+
+/// A serializable history whose log-level search exhausts its budget
+/// before any outcome reaches the precongruence check: the first choice
+/// of transaction 0 dooms the final read, and the 2^16 serial runs of the
+/// middle transactions under it all end in distinct logs.
+struct WideHistory {
+  RegisterSpec Spec{"mem", 2, 2};
+  std::vector<CommittedTx> Txs;
+  std::vector<Operation> CommittedLog;
+
+  WideHistory() {
+    OpId Id = 0;
+    auto Add = [&](const char *Body, Stack Final, Operation Op) {
+      CommittedTx T;
+      T.Tid = static_cast<TxId>(Txs.size());
+      T.Body = parseOrDie(Body);
+      T.FinalSigma = std::move(Final);
+      T.CommitSeq = Txs.size();
+      Txs.push_back(std::move(T));
+      CommittedLog.push_back(std::move(Op));
+    };
+    Add("mem.write(0, 0) + mem.write(0, 1)", Stack(),
+        mkOp(++Id, "mem", "write", {0, 1}, 1));
+    for (int I = 0; I < 16; ++I)
+      Add("mem.write(1, 0) + mem.write(1, 1)", Stack(),
+          mkOp(++Id, "mem", "write", {1, 1}, 1));
+    Add("v := mem.read(0)", Stack().bind("v", 1),
+        mkOp(++Id, "mem", "read", {0}, 1));
+  }
+};
+
+/// The commit-order verdict computed the log-level way: enumerate whole
+/// atomic logs with AtomicMachine::searchSerial and ask checkLogs about
+/// each.  Sets \p Truncated when the enumeration hit its budget.
+Tri referenceCommitOrder(const SequentialSpec &Spec, const PushPullMachine &M,
+                         const AtomicLimits &Limits, bool &Truncated) {
+  std::vector<CommittedTx> Txs = M.committed();
+  std::sort(Txs.begin(), Txs.end(),
+            [](const CommittedTx &A, const CommittedTx &B) {
+              return A.CommitSeq < B.CommitSeq;
+            });
+  std::vector<AtomicTx> Serial;
+  for (const CommittedTx &T : Txs)
+    Serial.push_back({T.Body, T.Sigma, T.FinalSigma});
+  std::vector<Operation> CommittedLog = M.committedLog();
+  PrecongruenceChecker Pre(Spec);
+  AtomicMachine Atomic(Spec, Limits);
+  bool SawUnknown = false;
+  bool Found = Atomic.searchSerial(Serial, {}, [&](const AtomicOutcome &O) {
+    Tri V = Pre.checkLogs(CommittedLog, O.Log);
+    SawUnknown = SawUnknown || V == Tri::Unknown;
+    return V == Tri::Yes;
+  });
+  Truncated = Atomic.truncated();
+  if (Found)
+    return Tri::Yes;
+  return SawUnknown ? Tri::Unknown : Tri::No;
 }
 
 } // namespace
@@ -157,4 +222,96 @@ TEST(Oracle, TooManyTxsForPermutationSearch) {
   SerializabilityChecker Oracle(Spec);
   EXPECT_EQ(Oracle.checkAnyOrder(M, 7).Serializable, Tri::Unknown);
   EXPECT_EQ(Oracle.checkCommitOrder(M).Serializable, Tri::Yes);
+}
+
+TEST(Oracle, DenotationSearchDecidesWhatTheLogSearchCannot) {
+  WideHistory H;
+  SerializabilityChecker Oracle(H.Spec);
+  SerializabilityVerdict V = Oracle.checkOrder(H.Txs, H.CommittedLog);
+  EXPECT_EQ(V.Serializable, Tri::Yes) << V.Detail;
+  EXPECT_EQ(V.WitnessOrder.size(), H.Txs.size());
+  // Every final denotation the search can reach: which value register 1
+  // ends with.
+  EXPECT_LE(V.OutcomesTried, 2u);
+}
+
+TEST(Oracle, TruncatedSearchIsUnknownNeverNo) {
+  WideHistory H;
+  AtomicLimits Tight;
+  Tight.MaxOutcomes = 8;
+  SerializabilityChecker Oracle(H.Spec, Tight);
+  SerializabilityVerdict V = Oracle.checkOrder(H.Txs, H.CommittedLog);
+  EXPECT_EQ(V.Serializable, Tri::Unknown);
+  EXPECT_EQ(V.Detail, "search exhausted its resource bounds");
+}
+
+TEST(Oracle, DenotationSearchAgreesWithLogLevelReference) {
+  // Seeded generator cases over every (engine, spec kind) pair, run the
+  // way DiffRunner runs them, clean and with a planted fault so No
+  // verdicts occur.  checkCommitOrder must give the verdict the
+  // log-level reference gives.  A reference that hit its budget decides
+  // only a Yes (it found a witness); its other cases are skipped.
+  const DiffConfig Defaults;
+  GeneratorConfig GC;
+  GC.Seed = 20261017;
+  GC.MaxTxPerThread = 3;
+  GC.MaxOpsPerTx = 4;
+  Generator Gen(GC);
+  std::vector<FuzzCase> Cases;
+  for (int I = 0; I < 210; ++I)
+    Cases.push_back(Gen.next());
+
+  std::set<std::pair<std::string, std::string>> Covered;
+  unsigned Compared = 0, Skipped = 0, Yes = 0, No = 0;
+  for (const char *Fault : {"", "PUSH criterion (ii)"}) {
+    for (size_t I = 0; I < Cases.size(); ++I) {
+      std::string Error;
+      BuiltCase B = buildCase(Cases[I], Error);
+      ASSERT_TRUE(B.Spec) << Error;
+      MoverChecker Movers(*B.Spec, Defaults.Movers, Defaults.Pre);
+      MachineConfig MC;
+      MC.DisabledCriterion = Fault;
+      PushPullMachine M(*B.Spec, Movers, MC);
+      for (const auto &P : B.Threads)
+        M.addThread(P);
+      std::unique_ptr<TMEngine> Engine =
+          makeEngine(B.Engine, B.EngineOpts, M, Error);
+      ASSERT_TRUE(Engine) << Error;
+      SchedulerConfig SC;
+      SC.Policy = B.Policy;
+      SC.Seed = B.ScheduleSeed;
+      // A fault can make a run livelock; a shorter step budget still
+      // leaves a committed prefix to adjudicate.
+      SC.MaxSteps = std::min<uint64_t>(B.MaxSteps, 1000);
+      SC.ChangePoints = B.ChangePoints;
+      Scheduler(SC).run(*Engine);
+
+      bool Truncated = false;
+      Tri Want =
+          referenceCommitOrder(*B.Spec, M, Defaults.Atomic, Truncated);
+      if (Truncated && Want != Tri::Yes) {
+        ++Skipped;
+        continue;
+      }
+      SerializabilityChecker Oracle(*B.Spec, Defaults.Atomic, Defaults.Pre);
+      SerializabilityVerdict Got = Oracle.checkCommitOrder(M);
+      EXPECT_EQ(Got.Serializable, Want)
+          << "case " << I << " (" << B.Engine << ", "
+          << Cases[I].Specs.front().Kind << ", fault '" << Fault
+          << "'): " << Got.Detail << "\n"
+          << Cases[I].toScenarioText();
+      ++Compared;
+      Yes += Want == Tri::Yes;
+      No += Want == Tri::No;
+      Covered.insert({B.Engine, Cases[I].Specs.size() > 1
+                                    ? "composite"
+                                    : Cases[I].Specs.front().Kind});
+    }
+  }
+  EXPECT_GE(Compared, 400u) << Skipped << " skipped";
+  EXPECT_GT(Yes, 0u);
+  EXPECT_GT(No, 0u) << "the planted fault must produce No verdicts";
+  // Six primitive kinds plus the two-part composite.
+  EXPECT_EQ(Covered.size(),
+            allEngineNames().size() * (allSpecKinds().size() + 1));
 }

@@ -182,7 +182,10 @@ TEST(Str, SplitOn) {
 #endif
 #endif
 
+#include <latch>
 #include <string>
+#include <thread>
+#include <vector>
 
 TEST(Arena, AllocatesAlignedAndCounts) {
   Arena A;
@@ -393,4 +396,40 @@ TEST(CowVec, SharesUntilMutation) {
   EXPECT_EQ(B.front(), 0);
   B.eraseFront();
   EXPECT_EQ(B.front(), 1);
+}
+
+TEST(ChunkPool, ConcurrentRefillsReuseReturnedChunks) {
+  // Batches of threads that all hold chunks of one class at once.  Each
+  // thread's chunks go back to the pool when it exits, so once the first
+  // batch has carved what a batch needs, later batches must be served
+  // from returned chunks without drawing new slabs.
+#ifdef PUSHPULL_TEST_ASAN
+  GTEST_SKIP() << "chunks are plain heap objects under AddressSanitizer";
+#else
+  constexpr size_t Bytes = 256;
+  constexpr unsigned Threads = 4, PerThread = 64, Batches = 6;
+  auto RunBatch = [] {
+    std::latch Holding(Threads);
+    std::vector<std::thread> Ts;
+    for (unsigned T = 0; T < Threads; ++T)
+      Ts.emplace_back([&Holding] {
+        std::vector<void *> Mine;
+        for (unsigned I = 0; I < PerThread; ++I)
+          Mine.push_back(chunkAlloc(Bytes));
+        // Nobody frees until every thread holds its chunks.
+        Holding.arrive_and_wait();
+        for (void *P : Mine)
+          chunkFree(P, Bytes);
+      });
+    for (std::thread &T : Ts)
+      T.join();
+  };
+  RunBatch();
+  const uint64_t AfterFirst = memstats::read().ArenaBytes;
+  for (unsigned B = 1; B < Batches; ++B) {
+    RunBatch();
+    EXPECT_EQ(memstats::read().ArenaBytes, AfterFirst)
+        << "batch " << B << " carved new slabs";
+  }
+#endif
 }
