@@ -70,9 +70,13 @@ std::vector<Candidate> pushpull::allCandidates(const PushPullMachine &M) {
 }
 
 /// One diamond check.  Returns true and leaves \p Reason empty on
-/// commutation; otherwise fills \p Reason.
+/// commutation; otherwise fills \p Reason.  The two orders' configuration
+/// keys are rendered into \p KeyAB and \p KeyBA, buffers the caller reuses
+/// across pairs (pairs are checked by the million; buffers that keep their
+/// capacity make the comparison allocation-free).
 static bool diamond(const PushPullMachine &M, const Firing &A,
-                    const Firing &B, std::string &Reason) {
+                    const Firing &B, std::string &KeyAB, std::string &KeyBA,
+                    std::string &Reason) {
   PushPullMachine AB(M);
   if (!applyFiring(AB, A)) {
     Reason = A.toString() + " no longer enabled (probe race)";
@@ -91,7 +95,9 @@ static bool diamond(const PushPullMachine &M, const Firing &A,
     Reason = A.toString() + " disabled after " + B.toString();
     return false;
   }
-  if (AB.configKey() != BA.configKey()) {
+  AB.configKeyInto(KeyAB);
+  BA.configKeyInto(KeyBA);
+  if (KeyAB != KeyBA) {
     Reason = "orders " + A.toString() + ";" + B.toString() +
              " and reverse reach different configurations";
     return false;
@@ -111,6 +117,7 @@ size_t pushpull::checkIndependenceAt(const PushPullMachine &M,
       Enabled.push_back(C);
   }
   size_t Pairs = 0;
+  std::string KeyAB, KeyBA;
   for (size_t I = 0; I < Enabled.size(); ++I)
     for (size_t J = I + 1; J < Enabled.size(); ++J) {
       const Candidate &A = Enabled[I], &B = Enabled[J];
@@ -122,7 +129,7 @@ size_t pushpull::checkIndependenceAt(const PushPullMachine &M,
         return Pairs;
       ++Pairs;
       std::string Reason;
-      if (!diamond(M, A.F, B.F, Reason))
+      if (!diamond(M, A.F, B.F, KeyAB, KeyBA, Reason))
         Failures.push_back("independent pair " + A.F.toString() + " x " +
                            B.F.toString() + ": " + Reason);
     }

@@ -2,6 +2,8 @@
 
 #include "core/Criteria.h"
 
+#include <ostream>
+
 using namespace pushpull;
 
 std::string pushpull::toString(RuleKind K) {
@@ -31,15 +33,26 @@ const CriterionReport *RuleResult::firstFailure() const {
   return nullptr;
 }
 
+std::ostream &pushpull::operator<<(std::ostream &OS, StaticText T) {
+  return OS << T.view();
+}
+
 std::string RuleResult::toString() const {
   std::string Out = pushpull::toString(Rule);
   Out += Applied ? ": applied" : ": rejected";
-  if (!Message.empty())
-    Out += " (" + Message + ")";
+  if (!Message.empty()) {
+    Out += " (";
+    Out += Message.view();
+    Out += ")";
+  }
   for (const CriterionReport &R : Criteria) {
-    Out += "\n  " + R.Name + ": " + pushpull::toString(R.Verdict);
-    if (!R.Detail.empty())
-      Out += " -- " + R.Detail;
+    Out += "\n  ";
+    Out += R.Name.view();
+    Out += ": " + pushpull::toString(R.Verdict);
+    if (!R.Detail.empty()) {
+      Out += " -- ";
+      Out += R.Detail.view();
+    }
   }
   return Out;
 }
@@ -53,24 +66,24 @@ RuleResult RuleResult::applied(RuleKind K, CriterionReports Rs) {
 }
 
 RuleResult RuleResult::rejected(RuleKind K, CriterionReports Rs,
-                                std::string Msg) {
+                                StaticText Msg) {
   RuleResult Out;
   Out.Rule = K;
   Out.Applied = false;
   Out.Criteria = std::move(Rs);
-  Out.Message = std::move(Msg);
+  Out.Message = Msg;
   return Out;
 }
 
-RuleResult RuleResult::malformed(RuleKind K, std::string Msg) {
-  return rejected(K, {}, std::move(Msg));
+RuleResult RuleResult::malformed(RuleKind K, StaticText Msg) {
+  return rejected(K, {}, Msg);
 }
 
-CriterionReport pushpull::criterion(std::string Name, Tri Verdict,
-                                    std::string Detail) {
+CriterionReport pushpull::criterion(StaticText Name, Tri Verdict,
+                                    StaticText Detail) {
   CriterionReport R;
-  R.Name = std::move(Name);
+  R.Name = Name;
+  R.Detail = Detail;
   R.Verdict = Verdict;
-  R.Detail = std::move(Detail);
   return R;
 }

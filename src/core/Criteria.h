@@ -21,7 +21,10 @@
 #include "support/SmallVec.h"
 #include "support/Tri.h"
 
+#include <cstddef>
+#include <iosfwd>
 #include <string>
+#include <string_view>
 
 namespace pushpull {
 
@@ -38,20 +41,49 @@ enum class RuleKind {
 
 std::string toString(RuleKind K);
 
+/// A view of a string of static storage duration, in practice a string
+/// literal.  The only converting constructor is consteval and takes a char
+/// array, so it accepts literals and static arrays but not a runtime
+/// pointer: text built at run time (a std::string temporary, c_str())
+/// cannot compile into a view that would dangle.  Criterion names, details
+/// and rule messages are all of this type, so recording one never copies
+/// or allocates.
+class StaticText {
+public:
+  constexpr StaticText() = default;
+  template <size_t N>
+  consteval StaticText(const char (&S)[N]) : Data(S), Size(N - 1) {}
+
+  constexpr std::string_view view() const { return {Data, Size}; }
+  constexpr bool empty() const { return Size == 0; }
+
+  friend bool operator==(StaticText A, std::string_view B) {
+    return A.view() == B;
+  }
+
+private:
+  const char *Data = "";
+  size_t Size = 0;
+};
+
+std::ostream &operator<<(std::ostream &OS, StaticText T);
+
 /// Verdict for one named criterion of one rule application.
 struct CriterionReport {
   /// Paper-style name, e.g. "PUSH criterion (ii)".
-  std::string Name;
-  Tri Verdict = Tri::Unknown;
+  StaticText Name;
   /// Human-readable explanation (which operation failed to move, etc.).
-  std::string Detail;
+  StaticText Detail;
+  Tri Verdict = Tri::Unknown;
 
   bool holds() const { return Verdict == Tri::Yes; }
 };
 
 /// The reports of one rule attempt.  No Figure 5 rule has more than four
-/// criteria, so the inline capacity makes a rejection allocation-free
-/// (rejections outnumber applications on every explored scope).
+/// criteria, so the inline capacity keeps every report off the heap, and
+/// names and details are StaticText views of literals, so filling a report
+/// copies no text: a rejected attempt allocates nothing (rejections
+/// outnumber applications on every explored scope).
 using CriterionReports = SmallVec<CriterionReport, 4>;
 
 /// Result of attempting one rule.  When \c Applied is false the machine
@@ -62,7 +94,7 @@ struct RuleResult {
   CriterionReports Criteria;
   /// Message for failures not attributable to a numbered criterion
   /// (e.g. "no such local-log entry").
-  std::string Message;
+  StaticText Message;
 
   /// First criterion whose verdict is not Yes, or nullptr.
   const CriterionReport *firstFailure() const;
@@ -72,13 +104,13 @@ struct RuleResult {
 
   static RuleResult applied(RuleKind K, CriterionReports Rs = {});
   static RuleResult rejected(RuleKind K, CriterionReports Rs,
-                             std::string Msg = "");
-  static RuleResult malformed(RuleKind K, std::string Msg);
+                             StaticText Msg = {});
+  static RuleResult malformed(RuleKind K, StaticText Msg);
 };
 
 /// Build a passing/failing report with the paper-style criterion name.
-CriterionReport criterion(std::string Name, Tri Verdict,
-                          std::string Detail = "");
+CriterionReport criterion(StaticText Name, Tri Verdict,
+                          StaticText Detail = {});
 
 } // namespace pushpull
 

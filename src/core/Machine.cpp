@@ -61,8 +61,8 @@ bool PushPullMachine::beginTx(TxId T) {
   return true;
 }
 
-void PushPullMachine::noteCriterion(CriterionReports &Rs, const char *Name,
-                                    Tri V, const char *Detail) const {
+void PushPullMachine::noteCriterion(CriterionReports &Rs, StaticText Name,
+                                    Tri V, StaticText Detail) const {
   // A clean pass is pure bookkeeping: nothing on the hot path reads it, so
   // it is only materialized when the configuration records audits.  Failing
   // and Unknown reports are always kept — firstFailure() and the tests'
@@ -73,8 +73,8 @@ void PushPullMachine::noteCriterion(CriterionReports &Rs, const char *Name,
 }
 
 template <typename Fn>
-void PushPullMachine::evalCriterion(CriterionReports &Rs, const char *Name,
-                                    Fn &&Thunk, const char *Detail) const {
+void PushPullMachine::evalCriterion(CriterionReports &Rs, StaticText Name,
+                                    Fn &&Thunk, StaticText Detail) const {
   if (!Config.DisabledCriterion.empty() && Config.DisabledCriterion == Name) {
     // Fault injection for the fuzzer's self-test: pretend the criterion
     // holds.  See MachineConfig::DisabledCriterion.
@@ -255,7 +255,7 @@ RuleResult PushPullMachine::app(TxId T, size_t StepIdx, size_t CompIdx) {
   Op.Id = Ids.fresh();
   if (Config.RecordAudit)
     Rs.push_back(criterion("APP criterion (iii)", Tri::Yes,
-                           "id #" + std::to_string(Op.Id) + " is fresh"));
+                           "the operation's id is fresh"));
 
   LocalEntry E;
   E.Op = Op;
@@ -285,8 +285,9 @@ RuleResult PushPullMachine::unapp(TxId T) {
     return RuleResult::rejected(
         RuleKind::UnApp,
         {criterion("UNAPP flag check", Tri::No,
-                   "last local entry is " + pushpull::toString(Last.Kind) +
-                       ", not npshd")});
+                   Last.Kind == LocalKind::Pushed
+                       ? StaticText("last local entry is pshd, not npshd")
+                       : StaticText("last local entry is pld, not npshd"))});
 
   Operation Op = Last.Op;
   Th.Sigma = Last.Op.Pre;    // Recall the previous local stack...
@@ -565,10 +566,13 @@ RuleResult PushPullMachine::commit(TxId T) {
         break;
       }
     bool Contained = G.containsAll(Th.L);
-    noteCriterion(
-        Rs, "CMT criterion (ii)", triOf(AllPushed && Contained),
-        AllPushed ? (Contained ? "" : "a pulled operation is no longer in G")
-                  : "unpushed operations remain in L");
+    StaticText Why;
+    if (!AllPushed)
+      Why = "unpushed operations remain in L";
+    else if (!Contained)
+      Why = "a pulled operation is no longer in G";
+    noteCriterion(Rs, "CMT criterion (ii)", triOf(AllPushed && Contained),
+                  Why);
   }
 
   // CMT criterion (iii): every pulled operation is committed in G.
@@ -679,10 +683,10 @@ void renderThreadKey(std::string &Out, StateTable &Table,
 
 } // namespace
 
-std::string
-PushPullMachine::configKey(const std::vector<TxId> *LabelOf,
-                           const CommutativityOracle *Commut,
-                           SmallVec<uint32_t, 16> *GOrderOut) const {
+void PushPullMachine::configKeyInto(std::string &Out,
+                                    const std::vector<TxId> *LabelOf,
+                                    const CommutativityOracle *Commut,
+                                    SmallVec<uint32_t, 16> *GOrderOut) const {
   // Operations are rendered by their interned (Call, Result) key id:
   // id equality is exactly canonical-text equality, so the key partitions
   // configurations the same way a fully textual rendering would.  All
@@ -713,7 +717,7 @@ PushPullMachine::configKey(const std::vector<TxId> *LabelOf,
   SmallVec<OpId, 16> GIds;
   for (size_t J = 0; J < Order.size(); ++J)
     GIds.push_back(G.entries()[Order[J]].Op.Id);
-  std::string Out;
+  Out.clear();
   Out.reserve(64 + 48 * Threads.size() + 9 * GIds.size());
   if (!LabelOf) {
     for (const ThreadState &Th : Threads)
@@ -737,7 +741,6 @@ PushPullMachine::configKey(const std::vector<TxId> *LabelOf,
   appendCommittedKey(Out);
   if (GOrderOut)
     *GOrderOut = Order;
-  return Out;
 }
 
 /// Append the committed-content section (see configKey).  It is
@@ -762,29 +765,33 @@ void PushPullMachine::appendCommittedKey(std::string &Out) const {
   Out += *CommittedKeyCache;
 }
 
-std::string PushPullMachine::configKeyCanonical(
-    const std::vector<std::vector<TxId>> &Perms, size_t &BestPerm,
-    const CommutativityOracle *Commut,
+void PushPullMachine::configKeyCanonicalInto(
+    std::string &Out, const std::vector<std::vector<TxId>> &Perms,
+    size_t &BestPerm, const CommutativityOracle *Commut,
     SmallVec<uint32_t, 16> *GOrderOut) const {
+  // Candidates are assembled in Cur and the best so far is kept in Out;
+  // swapping the two keeps both buffers' capacity, so once they have grown
+  // to the scope's key size no permutation allocates.
+  thread_local std::string Cur;
+  BestPerm = 0;
   // With a commutativity oracle the G quotient order depends on the owner
   // relabeling (owner labels are part of the normal form's label order),
   // so the render-once assembly below does not apply: render each
   // permutation in full and keep the minimum.
   if (Commut) {
-    std::string Best;
     SmallVec<uint32_t, 16> CurOrder, BestOrder;
-    BestPerm = 0;
     for (size_t Pi = 0; Pi < Perms.size(); ++Pi) {
-      std::string Cur = configKey(&Perms[Pi], Commut, &CurOrder);
-      if (Pi == 0 || Cur < Best) {
-        Best = std::move(Cur);
+      configKeyInto(Pi == 0 ? Out : Cur, &Perms[Pi], Commut, &CurOrder);
+      if (Pi == 0 || Cur < Out) {
+        if (Pi != 0)
+          std::swap(Out, Cur);
         BestOrder = CurOrder;
         BestPerm = Pi;
       }
     }
     if (GOrderOut)
       *GOrderOut = BestOrder;
-    return Best;
+    return;
   }
   if (GOrderOut) {
     GOrderOut->clear();
@@ -793,9 +800,11 @@ std::string PushPullMachine::configKeyCanonical(
   }
   // The thread sections and the G entries' (opKey, kind) prefix are
   // label-independent; only the section order and the G owner labels vary
-  // across the symmetry group.  Render every invariant piece once, then
-  // assemble one candidate per permutation — the assembly is pure memcpy
-  // against a full re-render per permutation.
+  // across the symmetry group.  Render every invariant piece once (the
+  // thread sections back to back in one buffer), then assemble one
+  // candidate per permutation — the assembly is pure memcpy against a
+  // full re-render per permutation.
+  thread_local std::string Sections;
   StateTable &Table = Spec->table();
   SmallVec<OpId, 16> GIds;
   SmallVec<uint32_t, 16> GOpKeys;
@@ -803,41 +812,41 @@ std::string PushPullMachine::configKeyCanonical(
     GIds.push_back(E.Op.Id);
     GOpKeys.push_back(Table.opKey(E.Op));
   }
-  SmallVec<std::string, 4> Sections;
+  SmallVec<uint32_t, 8> SectionEnd;
+  Sections.clear();
   for (const ThreadState &Th : Threads) {
-    std::string S;
-    S.reserve(48);
-    renderThreadKey(S, Table, Th, GIds);
-    Sections.push_back(std::move(S));
+    renderThreadKey(Sections, Table, Th, GIds);
+    SectionEnd.push_back(static_cast<uint32_t>(Sections.size()));
   }
+  auto SectionOf = [&](size_t T) {
+    size_t Begin = T == 0 ? 0 : SectionEnd[T - 1];
+    return std::string_view(Sections).substr(Begin, SectionEnd[T] - Begin);
+  };
 
-  std::string Best, Cur;
-  BestPerm = 0;
   SmallVec<uint32_t, 8> AtLabel;
   AtLabel.resize(Threads.size());
   for (size_t Pi = 0; Pi < Perms.size(); ++Pi) {
     const std::vector<TxId> &LabelOf = Perms[Pi];
     for (size_t T = 0; T < Threads.size(); ++T)
       AtLabel[LabelOf[T]] = static_cast<uint32_t>(T);
-    Cur.clear();
-    Cur.reserve(Best.empty() ? 64 + 48 * Threads.size() + 9 * GIds.size()
-                             : Best.size());
+    std::string &Dst = Pi == 0 ? Out : Cur;
+    Dst.clear();
+    Dst.reserve(Sections.size() + 4 + 9 * GIds.size());
     for (size_t L = 0; L < AtLabel.size(); ++L)
-      Cur += Sections[AtLabel[L]];
-    key32(Cur, static_cast<uint32_t>(GIds.size()));
+      Dst += SectionOf(AtLabel[L]);
+    key32(Dst, static_cast<uint32_t>(GIds.size()));
     size_t I = 0;
     for (const GlobalEntry &E : G.entries()) {
-      key32(Cur, GOpKeys[I++]);
-      Cur += E.Kind == GlobalKind::Committed ? 'C' : 'U';
-      key32(Cur, LabelOf[E.Owner]);
+      key32(Dst, GOpKeys[I++]);
+      Dst += E.Kind == GlobalKind::Committed ? 'C' : 'U';
+      key32(Dst, LabelOf[E.Owner]);
     }
-    if (Pi == 0 || Cur < Best) {
-      std::swap(Best, Cur);
+    if (Pi != 0 && Cur < Out) {
+      std::swap(Out, Cur);
       BestPerm = Pi;
     }
   }
-  appendCommittedKey(Best);
-  return Best;
+  appendCommittedKey(Out);
 }
 
 void PushPullMachine::installForAnalysis(ThreadList NewThreads,

@@ -283,21 +283,36 @@ public:
   /// order the key was rendered in.
   std::string configKey(const std::vector<TxId> *LabelOf = nullptr,
                         const CommutativityOracle *Commut = nullptr,
-                        SmallVec<uint32_t, 16> *GOrderOut = nullptr) const;
+                        SmallVec<uint32_t, 16> *GOrderOut = nullptr) const {
+    std::string Out;
+    configKeyInto(Out, LabelOf, Commut, GOrderOut);
+    return Out;
+  }
+
+  /// configKey rendered into \p Out (replacing its contents).  The
+  /// explorer keys every successor through one reused buffer, so a key
+  /// that is already visited costs no allocation.
+  void configKeyInto(std::string &Out,
+                     const std::vector<TxId> *LabelOf = nullptr,
+                     const CommutativityOracle *Commut = nullptr,
+                     SmallVec<uint32_t, 16> *GOrderOut = nullptr) const;
 
   /// The minimum of configKey over a whole symmetry group (\p Perms;
-  /// element 0 must be the identity), with \p BestPerm set to the index of
-  /// the minimizing permutation.  Equivalent to taking configKey(&P) for
-  /// every P and keeping the smallest, but renders the label-independent
-  /// sections once instead of once per permutation — the symmetry
-  /// reduction keys every visited configuration |Perms| ways.  With
-  /// \p Commut the G quotient order depends on the owner relabeling, so
-  /// each permutation is rendered in full; \p GOrderOut receives the
-  /// minimizing permutation's canonical G order.
-  std::string configKeyCanonical(const std::vector<std::vector<TxId>> &Perms,
-                                 size_t &BestPerm,
-                                 const CommutativityOracle *Commut = nullptr,
-                                 SmallVec<uint32_t, 16> *GOrderOut = nullptr)
+  /// element 0 must be the identity), rendered into \p Out, with
+  /// \p BestPerm set to the index of the minimizing permutation.
+  /// Equivalent to taking configKey(&P) for every P and keeping the
+  /// smallest, but renders the label-independent sections once instead of
+  /// once per permutation — the symmetry reduction keys every visited
+  /// configuration |Perms| ways.  With \p Commut the G quotient order
+  /// depends on the owner relabeling, so each permutation is rendered in
+  /// full; \p GOrderOut receives the minimizing permutation's canonical G
+  /// order.  The per-permutation candidates are assembled in thread-local
+  /// scratch buffers, so the steady state allocates nothing.
+  void configKeyCanonicalInto(std::string &Out,
+                              const std::vector<std::vector<TxId>> &Perms,
+                              size_t &BestPerm,
+                              const CommutativityOracle *Commut = nullptr,
+                              SmallVec<uint32_t, 16> *GOrderOut = nullptr)
       const;
 
   /// The committed projection |G|_gCmt — what the serializability theorem
@@ -332,13 +347,13 @@ private:
   /// to \p Rs.  Clean passes are elided unless Config.RecordAudit; failing
   /// and Unknown verdicts are always appended so firstFailure() works.
   template <typename Fn>
-  void evalCriterion(CriterionReports &Rs, const char *Name, Fn &&Thunk,
-                     const char *Detail = "") const;
+  void evalCriterion(CriterionReports &Rs, StaticText Name, Fn &&Thunk,
+                     StaticText Detail = {}) const;
 
   /// Append a report for an inline-evaluated verdict, with the same
   /// pass-elision policy as evalCriterion.
-  void noteCriterion(CriterionReports &Rs, const char *Name, Tri V,
-                     const char *Detail = "") const;
+  void noteCriterion(CriterionReports &Rs, StaticText Name, Tri V,
+                     StaticText Detail = {}) const;
 
   /// Does this set of reports permit the rule to fire?
   bool reportsPass(const CriterionReports &Rs) const;

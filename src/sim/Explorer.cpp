@@ -17,24 +17,22 @@ using namespace pushpull;
 
 namespace {
 
-/// Render everything the commit-order oracle looks at — the commit-ordered
-/// transactions (body, start/final stacks) and the committed shared log —
-/// into a key.  Two machines with equal keys get identical verdicts from
+/// Render into \p Key everything the commit-order oracle looks at — the
+/// commit-ordered transactions (body, start/final stacks) and the committed
+/// shared log.  Two machines with equal keys get identical verdicts from
 /// SerializabilityChecker::checkCommitOrder, which is deterministic in
 /// that content, so verdicts can be memoized per explorer (or per worker).
-std::string committedContentKey(const PushPullMachine &M, StateTable &Table) {
-  const std::vector<CommittedTx> &Txs = M.committed();
-  std::vector<const CommittedTx *> Order;
-  Order.reserve(Txs.size());
-  for (const CommittedTx &T : Txs)
+void committedContentKey(const PushPullMachine &M, StateTable &Table,
+                         std::string &Key) {
+  SmallVec<const CommittedTx *, 8> Order;
+  for (const CommittedTx &T : M.committed())
     Order.push_back(&T);
   std::sort(Order.begin(), Order.end(),
             [](const CommittedTx *A, const CommittedTx *B) {
               return A->CommitSeq < B->CommitSeq;
             });
 
-  std::string Key;
-  Key.reserve(32 + 48 * Order.size());
+  Key.clear();
   auto Append32 = [&Key](uint32_t V) {
     char B[4];
     std::memcpy(B, &V, 4);
@@ -57,22 +55,9 @@ std::string committedContentKey(const PushPullMachine &M, StateTable &Table) {
     AppendStack(T->Sigma);
     AppendStack(T->FinalSigma);
   }
-  for (const Operation &Op : M.committedLog())
-    Append32(Table.opKey(Op));
-  return Key;
-}
-
-/// checkCommitOrder through a verdict memo (see committedContentKey).
-const SerializabilityVerdict &cachedCommitOrderVerdict(
-    SerializabilityChecker &Oracle,
-    std::unordered_map<std::string, SerializabilityVerdict> &Memo,
-    StateTable &Table, const PushPullMachine &M) {
-  std::string Key = committedContentKey(M, Table);
-  auto It = Memo.find(Key);
-  if (It != Memo.end())
-    return It->second;
-  return Memo.emplace(std::move(Key), Oracle.checkCommitOrder(M))
-      .first->second;
+  for (const GlobalEntry &E : M.global().entries())
+    if (E.Kind == GlobalKind::Committed)
+      Append32(Table.opKey(E.Op));
 }
 
 /// The candidate scratch arena: one per explorer worker thread, rewound
@@ -235,83 +220,107 @@ struct WorkItem {
   SleepSet Sleep;
 };
 
-/// Sharded concurrent visited map: configuration key -> shallowest depth
-/// + narrowest sleep set seen.  Same protocol as the sequential map
-/// (first claim is "fresh" and does the per-config accounting; a later
-/// claim re-explores — without re-accounting — iff it is shallower or its
-/// sleep set would explore a transition every stored visit pruned).
-class ShardedVisited {
-public:
-  struct Claim {
-    bool Fresh;   ///< First time this config was ever seen.
-    bool Explore; ///< Caller should expand its successors.
-  };
+} // namespace
 
-  Claim claim(std::string Key, size_t Depth, const SleepSet &Sleep,
-              bool UseSleep) {
-    Shard &S = Shards[std::hash<std::string>{}(Key) & (NumShards - 1)];
-    std::lock_guard<std::mutex> Lock(S.Mutex);
-    auto [It, Fresh] = S.Map.try_emplace(std::move(Key), Entry{Depth, Sleep});
-    if (Fresh)
-      return {true, true};
-    bool Shallower = Depth < It->second.Depth;
-    bool SleepCovered = !UseSleep || Sleep.supersetOf(It->second.Sleep);
-    if (!Shallower && SleepCovered)
-      return {false, false};
-    It->second.Depth = std::min(It->second.Depth, Depth);
+Explorer::VisitedSet::Claim
+Explorer::VisitedSet::claim(std::string_view Key, uint64_t H, size_t Depth,
+                            const SleepSet &Sleep, bool UseSleep) {
+  KeyTable<>::Insert In = Keys.insert(Key, H);
+  if (In.Fresh) {
+    Depths.push_back(Depth);
     if (UseSleep)
-      It->second.Sleep.intersectWith(Sleep);
-    return {false, true};
+      Sleeps.push_back(Sleep);
+    return {true, true};
+  }
+  size_t &StoredDepth = Depths[In.Index];
+  bool Shallower = Depth < StoredDepth;
+  bool SleepCovered = !UseSleep || Sleep.supersetOf(Sleeps[In.Index]);
+  if (!Shallower && SleepCovered)
+    return {false, false};
+  // Previously reached only deeper (with part of its subtree possibly
+  // depth-pruned) or with a narrower frontier (part of it sleep-pruned):
+  // re-explore from here.  The per-config accounting (visit count,
+  // invariants, terminal verdicts) already happened on the first visit.
+  StoredDepth = std::min(StoredDepth, Depth);
+  if (UseSleep)
+    Sleeps[In.Index].intersectWith(Sleep);
+  return {false, true};
+}
+
+void Explorer::VisitedSet::clear() {
+  Keys.clear();
+  Depths.clear();
+  Sleeps.clear();
+}
+
+/// The parallel engine's visited set: VisitedSets sharded by the high bits
+/// of the key hash, each under its own mutex.  Same protocol as the
+/// sequential set (the first claim is "fresh" and does the per-config
+/// accounting; a later claim re-explores — without re-accounting — iff it
+/// is shallower or its sleep set would explore a transition every stored
+/// visit pruned).
+class Explorer::ShardedVisited {
+public:
+  VisitedSet::Claim claim(std::string_view Key, size_t Depth,
+                          const SleepSet &Sleep, bool UseSleep) {
+    uint64_t H = KeyTable<>::hash(Key);
+    Shard &S = Shards[H >> (64 - ShardBits)];
+    std::lock_guard<std::mutex> Lock(S.Mutex);
+    return S.Set.claim(Key, H, Depth, Sleep, UseSleep);
   }
 
 private:
-  static constexpr size_t NumShards = 64;
-  struct Entry {
-    size_t Depth;
-    SleepSet Sleep;
-  };
+  static constexpr unsigned ShardBits = 6;
   struct Shard {
     std::mutex Mutex;
-    std::unordered_map<std::string, Entry> Map;
+    VisitedSet Set;
   };
-  Shard Shards[NumShards];
+  Shard Shards[size_t{1} << ShardBits];
 };
 
-} // namespace
+const SerializabilityVerdict &
+Explorer::VerdictMemo::verdict(SerializabilityChecker &Oracle,
+                               const PushPullMachine &M) {
+  committedContentKey(M, M.spec().table(), KeyBuf);
+  KeyTable<>::Insert In = Keys.insert(KeyBuf);
+  if (In.Fresh)
+    Verdicts.push_back(Oracle.checkCommitOrder(M));
+  return Verdicts[In.Index];
+}
 
 Explorer::Explorer(const SequentialSpec &Spec, MoverChecker &Movers,
                    ExplorerConfig Config)
     : Spec(Spec), Movers(Movers), Config(Config), Oracle(Spec) {}
 
-std::string Explorer::canonicalKey(const PushPullMachine &M, SleepSet &Sleep,
-                                   uint64_t &SymmetryHits) const {
+void Explorer::canonicalKey(const PushPullMachine &M, SleepSet &Sleep,
+                            uint64_t &SymmetryHits, std::string &Out) const {
   const CommutativityOracle *DB = Config.CommutDB;
   // Sleep sets travel in raw G-index space (stable across independent
-  // firings); the visited map compares them in canonical space, so under
+  // firings); the visited set compares them in canonical space, so under
   // the commutativity quotient the PULL indices are rewritten through the
   // G order actually used for the key — after the thread relabeling when
   // symmetry also applies (relabeled touches tids only, so the two
   // rewrites commute, but the order used must be the one of the winning
   // permutation's rendering).
   if (Perms.size() <= 1) {
-    if (!DB)
-      return M.configKey();
+    if (!DB) {
+      M.configKeyInto(Out);
+      return;
+    }
     SmallVec<uint32_t, 16> Order;
-    std::string Key = M.configKey(nullptr, DB, &Order);
+    M.configKeyInto(Out, nullptr, DB, &Order);
     Sleep = Sleep.reindexedG(Order);
-    return Key;
+    return;
   }
   size_t BestPi = 0;
   SmallVec<uint32_t, 16> Order;
-  std::string Key =
-      M.configKeyCanonical(Perms, BestPi, DB, DB ? &Order : nullptr);
+  M.configKeyCanonicalInto(Out, Perms, BestPi, DB, DB ? &Order : nullptr);
   if (BestPi != 0) {
     ++SymmetryHits;
     Sleep = Sleep.relabeled(Perms[BestPi]);
   }
   if (DB)
     Sleep = Sleep.reindexedG(Order);
-  return Key;
 }
 
 ExplorerReport
@@ -344,28 +353,18 @@ void Explorer::visit(PushPullMachine M, size_t Depth, SleepSet Sleep,
     Report.Truncated = true;
     return;
   }
-  const bool UseSleep = usesSleepSets(Config.Reduce);
   // Under symmetry, key and sleep set move to the canonical labeling so
   // entries stored by isomorphic configurations compare like with like.
   SleepSet StoredSleep = Sleep;
-  std::string Key = canonicalKey(M, StoredSleep, Report.SymmetryHits);
-  auto [It, Fresh] =
-      Visited.try_emplace(std::move(Key), VisitEntry{Depth, StoredSleep});
-  if (!Fresh) {
-    bool Shallower = Depth < It->second.Depth;
-    bool SleepCovered = !UseSleep || StoredSleep.supersetOf(It->second.Sleep);
-    if (!Shallower && SleepCovered)
-      return;
-    // Previously reached only deeper (with part of its subtree possibly
-    // depth-pruned) or with a narrower frontier (part of it sleep-pruned):
-    // re-explore from here.  The per-config accounting (visit count,
-    // invariants, terminal verdicts) already happened on the first visit.
-    It->second.Depth = std::min(It->second.Depth, Depth);
-    if (UseSleep)
-      It->second.Sleep.intersectWith(StoredSleep);
-  } else {
+  canonicalKey(M, StoredSleep, Report.SymmetryHits, KeyBuf);
+  VisitedSet::Claim C =
+      Visited.claim(KeyBuf, KeyTable<>::hash(KeyBuf), Depth, StoredSleep,
+                    usesSleepSets(Config.Reduce));
+  if (!C.Explore)
+    return;
+  const bool Fresh = C.Fresh;
+  if (Fresh)
     ++Report.ConfigsVisited;
-  }
 
   if (Config.CheckInvariants && Fresh) {
     for (const ThreadState &Th : M.threads()) {
@@ -390,8 +389,7 @@ void Explorer::visit(PushPullMachine M, size_t Depth, SleepSet Sleep,
       ++Report.OracleSkips;
       return;
     }
-    const SerializabilityVerdict &V =
-        cachedCommitOrderVerdict(Oracle, OracleMemo, Spec.table(), M);
+    const SerializabilityVerdict &V = OracleMemo.verdict(Oracle, M);
     if (V.Serializable != Tri::Yes) {
       ++Report.NonSerializable;
       if (Report.FirstFailure.empty()) {
@@ -450,7 +448,8 @@ ExplorerReport Explorer::exploreParallel(PushPullMachine Root) {
     MoverChecker WorkerMovers(Spec, Movers.limits(),
                               Movers.precongruence().limits());
     SerializabilityChecker WorkerOracle(Spec);
-    std::unordered_map<std::string, SerializabilityVerdict> WorkerMemo;
+    VerdictMemo WorkerMemo;
+    std::string KeyBuf;
     std::vector<WorkItem> Children;
 
     auto RecordFailure = [&](const std::string &Text) {
@@ -485,15 +484,18 @@ ExplorerReport Explorer::exploreParallel(PushPullMachine Root) {
       } else {
         uint64_t Hits = 0;
         SleepSet StoredSleep = Item->Sleep;
-        std::string Key = canonicalKey(M, StoredSleep, Hits);
+        canonicalKey(M, StoredSleep, Hits, KeyBuf);
         if (Hits)
           Shared.SymmetryHits.fetch_add(Hits, std::memory_order_relaxed);
-        if (auto C = Shared.Visited.claim(std::move(Key), Depth, StoredSleep,
-                                          UseSleep);
-            C.Explore) {
-          if (C.Fresh)
-            Shared.ConfigsVisited.fetch_add(1, std::memory_order_relaxed);
-
+        VisitedSet::Claim C =
+            Shared.Visited.claim(KeyBuf, Depth, StoredSleep, UseSleep);
+        // A fresh configuration takes its budget slot here; racing workers
+        // may all have passed the check above, so a slot past the budget
+        // truncates instead of counting or expanding.
+        if (C.Fresh && Shared.ConfigsVisited.fetch_add(
+                           1, std::memory_order_relaxed) >= Config.MaxConfigs) {
+          Shared.Truncated.store(true, std::memory_order_relaxed);
+        } else if (C.Explore) {
           if (Config.CheckInvariants && C.Fresh) {
             for (const ThreadState &Th : M.threads()) {
               InvariantReport IR =
@@ -516,8 +518,8 @@ ExplorerReport Explorer::exploreParallel(PushPullMachine Root) {
               if (Config.SkipOracle) {
                 Shared.OracleSkips.fetch_add(1, std::memory_order_relaxed);
               } else {
-                const SerializabilityVerdict &V = cachedCommitOrderVerdict(
-                    WorkerOracle, WorkerMemo, Spec.table(), M);
+                const SerializabilityVerdict &V =
+                    WorkerMemo.verdict(WorkerOracle, M);
                 if (V.Serializable != Tri::Yes) {
                   Shared.NonSerializable.fetch_add(1,
                                                    std::memory_order_relaxed);
@@ -575,7 +577,9 @@ ExplorerReport Explorer::exploreParallel(PushPullMachine Root) {
     T.join();
 
   ExplorerReport Report;
-  Report.ConfigsVisited = Shared.ConfigsVisited.load();
+  // Slots taken past the budget were not counted.
+  Report.ConfigsVisited =
+      std::min<uint64_t>(Shared.ConfigsVisited.load(), Config.MaxConfigs);
   Report.TerminalConfigs = Shared.TerminalConfigs.load();
   Report.RuleApplications = Shared.RuleApplications.load();
   Report.RejectedAttempts = Shared.RejectedAttempts.load();

@@ -23,7 +23,7 @@
 /// only re-derive commuted interleavings, persistent sets additionally
 /// prune configurations (BEGIN-priority), and the symmetry mode
 /// canonicalizes configurations under renaming of identical thread
-/// programs before the visited-map lookup.  Every mode preserves the
+/// programs before the visited-set lookup.  Every mode preserves the
 /// *verdicts*: NonSerializable and InvariantViolations are zero under a
 /// reduced search iff they are zero under Reduction::None, and the modes
 /// without symmetry preserve the exact TerminalConfigs and per-terminal
@@ -31,9 +31,11 @@
 ///
 /// With ExplorerConfig::Threads > 1 the search runs on a worker pool: a
 /// shared LIFO work queue of configurations (sleep sets travel with the
-/// work items), a sharded concurrent visited map, per-worker mover
+/// work items), a sharded concurrent visited set, per-worker mover
 /// checkers and oracles (verdicts are cache-independent, so worker-local
-/// caches are sound), and atomic report counters.
+/// caches are sound), and atomic report counters.  A fresh configuration
+/// takes its slot in the MaxConfigs budget with one atomic increment, so
+/// racing workers never count past the budget.
 ///
 /// Which report fields are deterministic: the visited/accounting protocol
 /// guarantees that the aggregate totals ConfigsVisited / TerminalConfigs /
@@ -55,10 +57,13 @@
 #include "check/Serializability.h"
 #include "core/Machine.h"
 #include "sim/Reduction.h"
+#include "support/KeyTable.h"
 
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
+#include <vector>
 
 namespace pushpull {
 
@@ -91,7 +96,7 @@ struct ExplorerConfig {
   /// Certified strong-commutation oracle (core/Commut.h), or null.  When
   /// set, two things happen *together* (they are only sound as a pair):
   /// the independence relation treats cross-thread PUSHes of strongly
-  /// commuting operations as independent, and the visited-map key renders
+  /// commuting operations as independent, and the visited-set key renders
   /// the global log in the oracle's canonical quotient order, merging
   /// configurations that differ only by certified commutations.  The
   /// oracle must be sound for the explored spec and cover its operation
@@ -104,7 +109,7 @@ struct ExplorerConfig {
   /// ExplorerReport::OracleSkips and NonSerializable stays 0 by fiat.
   bool SkipOracle = false;
   /// Invoked on every *fresh* quiescent (terminal) configuration, after
-  /// the visited-map claim.  Serialized under a mutex when Threads > 1.
+  /// the visited-set claim.  Serialized under a mutex when Threads > 1.
   /// Used by the equivalence tests to compare terminal state graphs
   /// across reduction modes.
   std::function<void(const PushPullMachine &)> OnTerminal;
@@ -164,30 +169,72 @@ public:
   ExplorerReport explore(const std::vector<std::vector<CodePtr>> &Programs);
 
 private:
-  /// One visited-map entry: the shallowest depth this configuration was
-  /// explored at, and the intersection of the sleep sets it was explored
-  /// with.  A revisit is pruned only if it is no shallower *and* its
-  /// sleep set is a superset of the stored one (it could not explore any
-  /// transition the stored visits did not); otherwise it re-explores and
-  /// the entry absorbs it.  This is the classical sleep-sets +
-  /// state-caching protocol; with empty sleep sets (Reduction::None) it
-  /// degenerates to the PR 1 depth-only rule.
-  struct VisitEntry {
-    size_t Depth = 0;
-    SleepSet Sleep;
+  /// The visited set: configuration key -> the shallowest depth the
+  /// configuration was explored at and the intersection of the sleep sets
+  /// it was explored with.  A revisit is pruned only if it is no shallower
+  /// *and* its sleep set is a superset of the stored one (it could not
+  /// explore any transition the stored visits did not); otherwise it
+  /// re-explores and the entry absorbs it.  This is the classical sleep
+  /// sets + state-caching protocol; with empty sleep sets
+  /// (Reduction::None) it degenerates to the depth-only rule.
+  ///
+  /// Keys are numbered densely by a KeyTable; depths, and sleep sets only
+  /// when the mode uses them, live in arrays indexed by that number, so an
+  /// entry costs its key bytes plus a few words, and no pointer into the
+  /// arrays is held while they may grow.
+  class VisitedSet {
+  public:
+    struct Claim {
+      bool Fresh;   ///< First time this configuration was ever seen.
+      bool Explore; ///< Caller should expand its successors.
+    };
+
+    /// Record a visit of \p Key (hash \p H = KeyTable<>::hash(Key)) at
+    /// \p Depth with \p Sleep.
+    Claim claim(std::string_view Key, uint64_t H, size_t Depth,
+                const SleepSet &Sleep, bool UseSleep);
+
+    void clear();
+
+  private:
+    KeyTable<> Keys;
+    std::vector<size_t> Depths;
+    /// Empty unless the reduction uses sleep sets.
+    std::vector<SleepSet> Sleeps;
+  };
+
+  /// The parallel engine's sharded visited set (Explorer.cpp).
+  class ShardedVisited;
+
+  /// Committed-content key -> commit-order oracle verdict.  The verdict is
+  /// a pure function of the commit-ordered transaction bodies/stacks and
+  /// the committed shared log, so distinct terminal configurations with
+  /// identical committed content share one atomic-machine search.  One
+  /// per explorer (kept across explore() calls) or per parallel worker.
+  class VerdictMemo {
+  public:
+    /// Oracle.checkCommitOrder(M), run once per distinct committed
+    /// content.  The reference is valid until the next call.
+    const SerializabilityVerdict &verdict(SerializabilityChecker &Oracle,
+                                          const PushPullMachine &M);
+
+  private:
+    KeyTable<> Keys;
+    std::vector<SerializabilityVerdict> Verdicts;
+    std::string KeyBuf;
   };
 
   void visit(PushPullMachine M, size_t Depth, SleepSet Sleep,
              ExplorerReport &Report);
 
-  /// Canonical visited-map key of \p M under the configured reduction:
-  /// the minimum of configKey over the symmetry group (identity only,
-  /// unless symmetry is enabled).  \p Sleep is relabeled through the
-  /// minimizing permutation so that sleep sets stored under a canonical
-  /// key are expressed in the canonical labeling.  Bumps \p SymmetryHits
-  /// when the minimizer is not the identity.
-  std::string canonicalKey(const PushPullMachine &M, SleepSet &Sleep,
-                           uint64_t &SymmetryHits) const;
+  /// Render into \p Out the canonical visited-set key of \p M under the
+  /// configured reduction: the minimum of configKey over the symmetry
+  /// group (identity only, unless symmetry is enabled).  \p Sleep is
+  /// relabeled through the minimizing permutation so that sleep sets
+  /// stored under a canonical key are expressed in the canonical labeling.
+  /// Bumps \p SymmetryHits when the minimizer is not the identity.
+  void canonicalKey(const PushPullMachine &M, SleepSet &Sleep,
+                    uint64_t &SymmetryHits, std::string &Out) const;
 
   ExplorerReport exploreParallel(PushPullMachine Root);
 
@@ -198,14 +245,11 @@ private:
   /// Thread relabelings for the symmetry reduction (identity first).
   /// Empty unless Config.Reduce enables symmetry.
   std::vector<std::vector<TxId>> Perms;
-  /// Committed-content key -> oracle verdict.  The commit-order verdict is
-  /// a pure function of the commit-ordered transaction bodies/stacks and
-  /// the committed shared log, so distinct terminal configurations with
-  /// identical committed content share one atomic-machine search.
-  std::unordered_map<std::string, SerializabilityVerdict> OracleMemo;
-  /// Configuration key -> shallowest depth + narrowest sleep set it has
-  /// been explored with (see VisitEntry).
-  std::unordered_map<std::string, VisitEntry> Visited;
+  VerdictMemo OracleMemo;
+  VisitedSet Visited;
+  /// The sequential engine's key buffer: every visit renders into it and
+  /// is done with it before recursing.
+  std::string KeyBuf;
 };
 
 } // namespace pushpull

@@ -136,6 +136,25 @@ TEST(Explorer, TruncationReported) {
   EXPECT_TRUE(R.Truncated);
 }
 
+TEST(Explorer, ParallelSearchStopsExactlyAtConfigBudget) {
+  // Workers race to claim fresh configurations; each claim takes its slot
+  // in the budget atomically, so the count never overshoots MaxConfigs.
+  // The scope has 4923 configurations, so every run is cut.
+  CounterSpec Spec("c", 1, 3);
+  MoverChecker Movers(Spec);
+  ExplorerConfig EC;
+  EC.MaxConfigs = 1000;
+  EC.Threads = 4;
+  for (int Run = 0; Run < 20; ++Run) {
+    Explorer E(Spec, Movers, EC);
+    ExplorerReport R = E.explore({{parseOrDie("tx { c.inc(0) }")},
+                                  {parseOrDie("tx { c.inc(0) }")},
+                                  {parseOrDie("tx { c.inc(0) }")}});
+    EXPECT_TRUE(R.Truncated) << "run " << Run;
+    EXPECT_EQ(R.ConfigsVisited, 1000u) << "run " << Run;
+  }
+}
+
 TEST(Explorer, ThreeThreadsStillClean) {
   // The widest scope in this file runs on the worker pool by default —
   // only deterministic totals are asserted.

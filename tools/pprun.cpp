@@ -30,19 +30,25 @@
 //                                     `check explore` skips the per-terminal
 //                                     serializability oracle replay
 //
-// Exit status 0 iff the run finished and every check passed.
+// Exit status 0 iff the run finished and every check passed; 2 on a usage
+// error (an unknown option, a second scenario file, or a number that is
+// not a whole decimal from 1 to its field's maximum) or an unreadable
+// scenario.
 //
 //===----------------------------------------------------------------------===//
 
 #include "analysis/MoverTable.h"
 #include "sim/Scenario.h"
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
+#include <type_traits>
 
 using namespace pushpull;
 
@@ -62,7 +68,9 @@ int main(int argc, char **argv) {
   bool ShowTrace = false;
   bool ShowCriteria = false;
   bool ShowStats = false;
-  long Threads = -1, MaxPairs = -1, MaxReachable = -1;
+  // Zero means "not given": every numeric option must be at least 1.
+  unsigned Threads = 0;
+  size_t MaxPairs = 0, MaxReachable = 0;
   Reduction Reduce = Reduction::None;
   bool HaveReduce = false;
   bool UseCommutDB = false, StaticProve = false;
@@ -79,13 +87,29 @@ int main(int argc, char **argv) {
     HaveReduce = true;
   };
 
-  auto NumArg = [&](int &I, const char *Flag, long &Out) {
+  // A whole decimal from 1 to the maximum of \p Out's type: digits only,
+  // no sign, no trailing characters, no overflow.
+  auto NumArg = [&](int &I, const char *Flag, auto &Out) {
     if (std::strcmp(argv[I], Flag) != 0)
       return false;
-    if (I + 1 >= argc || (Out = std::strtol(argv[++I], nullptr, 10)) <= 0) {
-      std::fprintf(stderr, "error: %s needs a positive integer\n", Flag);
+    using T = std::remove_reference_t<decltype(Out)>;
+    const uint64_t Max = std::numeric_limits<T>::max();
+    const char *Text = I + 1 < argc ? argv[++I] : "";
+    uint64_t V = 0;
+    bool Ok = *Text != '\0';
+    for (const char *P = Text; Ok && *P; ++P) {
+      uint64_t D = static_cast<uint64_t>(*P - '0');
+      Ok = *P >= '0' && *P <= '9' && V <= (Max - D) / 10;
+      V = V * 10 + D;
+    }
+    if (!Ok || V == 0) {
+      std::fprintf(stderr,
+                   "error: %s needs a whole number from 1 to %llu, got "
+                   "'%s'\n",
+                   Flag, static_cast<unsigned long long>(Max), Text);
       std::exit(2);
     }
+    Out = static_cast<T>(V);
     return true;
   };
 
@@ -129,6 +153,16 @@ int main(int argc, char **argv) {
     if (NumArg(I, "--threads", Threads) || NumArg(I, "--max-pairs", MaxPairs) ||
         NumArg(I, "--max-reachable", MaxReachable))
       continue;
+    if (argv[I][0] == '-' && argv[I][1] != '\0') {
+      std::fprintf(stderr, "error: unknown option '%s'\n", argv[I]);
+      return 2;
+    }
+    if (Path) {
+      std::fprintf(stderr,
+                   "error: more than one scenario file ('%s' and '%s')\n",
+                   Path, argv[I]);
+      return 2;
+    }
     Path = argv[I];
   }
   if (!Path) {
@@ -160,13 +194,13 @@ int main(int argc, char **argv) {
 
   Scenario &S = *PR.Parsed;
   if (Threads > 0)
-    S.ExplorerThreads = static_cast<unsigned>(Threads);
+    S.ExplorerThreads = Threads;
   if (HaveReduce)
     S.ExplorerReduction = Reduce;
   if (MaxPairs > 0)
-    S.Pre.MaxPairs = static_cast<size_t>(MaxPairs);
+    S.Pre.MaxPairs = MaxPairs;
   if (MaxReachable > 0)
-    S.Movers.MaxReachableSets = static_cast<size_t>(MaxReachable);
+    S.Movers.MaxReachableSets = MaxReachable;
   std::printf("spec:     %s\n", S.Spec->name().c_str());
   std::printf("engine:   %s\n", S.Engine.c_str());
   std::printf("threads:  %zu\n", S.Threads.size());
