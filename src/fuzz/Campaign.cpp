@@ -147,6 +147,9 @@ std::string CampaignReport::toString() const {
              std::to_string(Cov.RuleCounts[K]);
     Out += "\n";
   }
+  if (BuildErrors)
+    Out += "BUILD ERRORS: " + std::to_string(BuildErrors) +
+           " case(s) could not be built; first: " + FirstBuildError + "\n";
   for (const std::string &Line : uncoveredRules())
     Out += "UNEXERCISED expected rules — " + Line + "\n";
   for (size_t I = 0; I < FailureReports.size(); ++I) {
@@ -195,6 +198,10 @@ void Campaign::runCase(const FuzzCase &Case, CampaignReport &Report) {
     Report.Caches.Memory.ArenaBytes += D.Caches.Memory.ArenaBytes;
     if (!D.Stats.Quiescent)
       ++Report.NotQuiescent;
+  } else {
+    if (Report.BuildErrors == 0)
+      Report.FirstBuildError = D.BuildError;
+    ++Report.BuildErrors;
   }
 
   if (D.discrepancy()) {

@@ -10,8 +10,10 @@
 /// track per-engine rule coverage, and on a discrepancy shrink to a
 /// 1-minimal reproducer and write it as a replayable `.pp` scenario under
 /// the repro directory.  A campaign *fails* if any discrepancy was found,
-/// or if some engine finished the campaign without exercising its whole
-/// expected rule set (the fuzzer was not actually testing that engine).
+/// if any case could not be built (say, an unknown engine or spec kind in
+/// the config), or if some engine finished the campaign without
+/// exercising its whole expected rule set (the fuzzer was not actually
+/// testing that engine).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -67,6 +69,9 @@ struct CampaignReport {
   uint64_t Discrepancies = 0;
   uint64_t Inconclusive = 0;
   uint64_t NotQuiescent = 0;
+  /// Cases that could not be built, and the first one's reason.
+  uint64_t BuildErrors = 0;
+  std::string FirstBuildError;
   std::map<std::string, EngineCoverage> PerEngine;
   /// Full DiffReport renderings of (shrunken) failures.
   std::vector<std::string> FailureReports;
@@ -81,8 +86,10 @@ struct CampaignReport {
   /// their whole expected rule set (empty = full coverage).
   std::vector<std::string> uncoveredRules() const;
 
-  /// No discrepancies and full expected-rule coverage.
-  bool ok() const { return Discrepancies == 0 && uncoveredRules().empty(); }
+  /// No discrepancies, every case built, and full expected-rule coverage.
+  bool ok() const {
+    return Discrepancies == 0 && BuildErrors == 0 && uncoveredRules().empty();
+  }
 
   /// Multi-line summary (per-engine rule histograms, failures, repros).
   std::string toString() const;

@@ -2,8 +2,9 @@
 
 #include "fuzz/Mutator.h"
 
+#include "support/Str.h"
+
 #include <algorithm>
-#include <cstdlib>
 
 using namespace pushpull;
 
@@ -222,7 +223,7 @@ void pushpull::normalizeThreadRefs(FuzzCase &Case) {
   auto It = Case.EngineOpts.find("irrevocable");
   if (It == Case.EngineOpts.end() || Case.Threads.empty())
     return;
-  uint64_t T = std::strtoull(It->second.c_str(), nullptr, 10);
-  if (T >= Case.Threads.size())
+  uint64_t T;
+  if (!readWhole(It->second, 0, Case.Threads.size() - 1, T))
     It->second = std::to_string(Case.Threads.size() - 1);
 }

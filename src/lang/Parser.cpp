@@ -2,8 +2,12 @@
 
 #include "lang/Parser.h"
 
+#include "support/Str.h"
+
 #include <cassert>
 #include <cctype>
+#include <limits>
+#include <string_view>
 
 using namespace pushpull;
 
@@ -193,12 +197,25 @@ private:
       while (Pos < Text.size() &&
              std::isdigit(static_cast<unsigned char>(Text[Pos])))
         ++Pos;
-      if (Pos == Start || (Text[Start] == '-' && Pos == Start + 1)) {
+      bool Negative = Text[Start] == '-';
+      if (Pos == Start + Negative) {
         fail("expected integer literal");
         return std::nullopt;
       }
-      return Arg(static_cast<Value>(
-          std::stoll(Text.substr(Start, Pos - Start))));
+      // The magnitude of a Value: up to 2^63 below zero, 2^63-1 above.
+      const uint64_t Limit =
+          static_cast<uint64_t>(std::numeric_limits<Value>::max()) + Negative;
+      uint64_t Magnitude = 0;
+      std::string_view Digits(Text.data() + Start + Negative,
+                              Pos - Start - Negative);
+      if (!readWhole(Digits, 0, Limit, Magnitude)) {
+        fail("integer literal " + Text.substr(Start, Pos - Start) +
+             " does not fit a 64-bit value");
+        return std::nullopt;
+      }
+      return Arg(Negative && Magnitude
+                     ? -static_cast<Value>(Magnitude - 1) - 1
+                     : static_cast<Value>(Magnitude));
     }
     std::string Id = ident();
     if (Id.empty()) {

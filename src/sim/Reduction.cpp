@@ -28,24 +28,38 @@ std::string toString(Reduction R) {
   return "?";
 }
 
+namespace {
+/// Every mode name reductionFromString takes; "symmetry" is an alias.
+struct ModeName {
+  const char *Name;
+  Reduction Mode;
+};
+constexpr ModeName ModeNames[] = {
+    {"none", Reduction::None},
+    {"sleep", Reduction::Sleep},
+    {"persistent", Reduction::Persistent},
+    {"persistent+symmetry", Reduction::PersistentSymmetry},
+    {"symmetry", Reduction::PersistentSymmetry},
+};
+} // namespace
+
 bool reductionFromString(const std::string &S, Reduction &Out) {
-  if (S == "none") {
-    Out = Reduction::None;
-    return true;
-  }
-  if (S == "sleep") {
-    Out = Reduction::Sleep;
-    return true;
-  }
-  if (S == "persistent") {
-    Out = Reduction::Persistent;
-    return true;
-  }
-  if (S == "symmetry" || S == "persistent+symmetry") {
-    Out = Reduction::PersistentSymmetry;
-    return true;
-  }
+  for (const ModeName &M : ModeNames)
+    if (S == M.Name) {
+      Out = M.Mode;
+      return true;
+    }
   return false;
+}
+
+const std::vector<std::string> &reductionNames() {
+  static const std::vector<std::string> Names = [] {
+    std::vector<std::string> Out;
+    for (const ModeName &M : ModeNames)
+      Out.emplace_back(M.Name);
+    return Out;
+  }();
+  return Names;
 }
 
 std::string toString(FiringKind K) {

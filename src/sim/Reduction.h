@@ -89,6 +89,9 @@ std::string toString(Reduction R);
 /// "symmetry" / "persistent+symmetry".  Returns false on junk.
 bool reductionFromString(const std::string &S, Reduction &Out);
 
+/// Every name reductionFromString takes, in that order.
+const std::vector<std::string> &reductionNames();
+
 /// Which rules a reduction mode enables.
 inline bool usesSleepSets(Reduction R) { return R != Reduction::None; }
 inline bool usesPersistentSets(Reduction R) {

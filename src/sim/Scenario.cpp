@@ -26,8 +26,9 @@
 #include "tm/OptimisticTM.h"
 #include "tm/PessimisticCommitTM.h"
 
-#include <cctype>
-#include <cstdlib>
+#include <algorithm>
+#include <fstream>
+#include <limits>
 #include <sstream>
 
 using namespace pushpull;
@@ -58,18 +59,220 @@ options(const std::vector<std::string> &Ws, size_t From) {
   return Out;
 }
 
-uint64_t numOr(const std::map<std::string, std::string> &Opts,
-               const std::string &Key, uint64_t Default) {
-  auto It = Opts.find(Key);
-  if (It == Opts.end() || It->second.empty())
-    return Default;
-  return std::stoull(It->second);
+using Options = std::map<std::string, std::string>;
+
+constexpr uint64_t U32Max = std::numeric_limits<uint32_t>::max();
+constexpr uint64_t U64Max = std::numeric_limits<uint64_t>::max();
+
+/// One numeric key=value option: its key, default and inclusive range.
+/// A thread key names a thread: parseScenario also bounds it by the
+/// file's thread count.
+struct NumKey {
+  const char *Key = nullptr;
+  uint64_t Default = 0, Min = 0, Max = 0;
+  bool Thread = false;
+};
+
+/// The key=value options of one spec kind, engine or schedule line: up
+/// to three numbers, read into slots in this order, and at most one
+/// free-text key.  Tables of these are static, so reading a directive's
+/// options allocates nothing unless it fails.
+struct KeySet {
+  const char *Name;
+  NumKey Nums[3];
+  const char *Text = nullptr;
+};
+
+/// The numbers readKeys read, in the order of KeySet::Nums.
+using Slots = uint64_t[3];
+using SpecPtr = std::shared_ptr<const SequentialSpec>;
+using EnginePtr = std::unique_ptr<TMEngine>;
+
+/// A spec kind: its keys, and how it is built from their values.
+struct SpecKind {
+  KeySet Keys;
+  SpecPtr (*Make)(const std::string &Name, const Slots &V,
+                  std::string &Error);
+};
+
+/// An engine: its keys, and how it is built from their values and the
+/// text key's value (null when absent).
+struct EngineKind {
+  KeySet Keys;
+  EnginePtr (*Make)(PushPullMachine &M, const Slots &V,
+                    const std::string *Text);
+};
+
+unsigned u32(uint64_t V) { return static_cast<unsigned>(V); }
+
+constexpr NumKey SeedKey{"seed", 1, 0, U64Max};
+
+constexpr SpecKind SpecKinds[] = {
+    {{"register", {{"regs", 4, 1, MaxSpecSize}, {"vals", 4, 1, MaxSpecSize}},
+      "name"},
+     [](const std::string &Name, const Slots &V, std::string &) -> SpecPtr {
+       return std::make_shared<RegisterSpec>(Name, u32(V[0]), u32(V[1]));
+     }},
+    {{"counter",
+      {{"counters", 2, 1, MaxSpecSize}, {"mod", 8, 1, MaxSpecSize}},
+      "name"},
+     [](const std::string &Name, const Slots &V, std::string &) -> SpecPtr {
+       return std::make_shared<CounterSpec>(Name, u32(V[0]), u32(V[1]));
+     }},
+    {{"set", {{"keys", 8, 1, MaxSpecSize}}, "name"},
+     [](const std::string &Name, const Slots &V, std::string &) -> SpecPtr {
+       return std::make_shared<SetSpec>(Name, u32(V[0]));
+     }},
+    {{"map", {{"keys", 8, 1, MaxSpecSize}, {"vals", 4, 1, MaxSpecSize}},
+      "name"},
+     [](const std::string &Name, const Slots &V, std::string &) -> SpecPtr {
+       return std::make_shared<MapSpec>(Name, u32(V[0]), u32(V[1]));
+     }},
+    {{"queue", {{"cap", 4, 1, MaxSpecSize}, {"vals", 2, 1, MaxSpecSize}},
+      "name"},
+     [](const std::string &Name, const Slots &V, std::string &) -> SpecPtr {
+       return std::make_shared<QueueSpec>(Name, u32(V[0]), u32(V[1]));
+     }},
+    {{"bank",
+      {{"accounts", 2, 1, MaxSpecSize},
+       {"cap", 4, 1, MaxSpecSize},
+       {"initial", 2, 0, MaxSpecSize}},
+      "name"},
+     [](const std::string &Name, const Slots &V,
+        std::string &Error) -> SpecPtr {
+       if (V[2] > V[1]) {
+         Error = wholeNumberError("initial", 0, V[1], std::to_string(V[2])) +
+                 " (at most the cap)";
+         return nullptr;
+       }
+       return std::make_shared<BankSpec>(Name, u32(V[0]), u32(V[1]),
+                                         u32(V[2]));
+     }},
+};
+
+constexpr EngineKind EngineKinds[] = {
+    {{"optimistic", {SeedKey}},
+     [](PushPullMachine &M, const Slots &V, const std::string *) -> EnginePtr {
+       return std::make_unique<OptimisticTM>(M, OptimisticConfig{V[0]});
+     }},
+    {{"checkpoint", {SeedKey, {"every", 2, 1, U32Max}}},
+     [](PushPullMachine &M, const Slots &V, const std::string *) -> EnginePtr {
+       CheckpointConfig C;
+       C.Seed = V[0];
+       C.CheckpointEvery = u32(V[1]);
+       return std::make_unique<CheckpointTM>(M, C);
+     }},
+    {{"boosting", {SeedKey, {"deadlock", 8, 0, U32Max}, {"keylocks", 1, 0, 1}}},
+     [](PushPullMachine &M, const Slots &V, const std::string *) -> EnginePtr {
+       BoostingConfig C;
+       C.Seed = V[0];
+       C.DeadlockThreshold = u32(V[1]);
+       C.KeyGranularLocks = V[2] != 0;
+       return std::make_unique<BoostingTM>(M, C);
+     }},
+    {{"pessimistic", {SeedKey}},
+     [](PushPullMachine &M, const Slots &V, const std::string *) -> EnginePtr {
+       PessimisticConfig C;
+       C.Seed = V[0];
+       return std::make_unique<PessimisticCommitTM>(M, std::move(C));
+     }},
+    {{"irrevocable", {SeedKey, {"irrevocable", 0, 0, U32Max, true}}},
+     [](PushPullMachine &M, const Slots &V, const std::string *) -> EnginePtr {
+       IrrevocableConfig C;
+       C.Seed = V[0];
+       C.IrrevocableThread = static_cast<TxId>(V[1]);
+       return std::make_unique<IrrevocableTM>(M, C);
+     }},
+    {{"dependent", {SeedKey, {"abortpct", 0, 0, 100}}},
+     [](PushPullMachine &M, const Slots &V, const std::string *) -> EnginePtr {
+       DependentConfig C;
+       C.Seed = V[0];
+       C.AbortChancePct = u32(V[1]);
+       return std::make_unique<DependentTM>(M, C);
+     }},
+    {{"early-release", {SeedKey}},
+     [](PushPullMachine &M, const Slots &V, const std::string *) -> EnginePtr {
+       return std::make_unique<EarlyReleaseTM>(M, EarlyReleaseConfig{V[0]});
+     }},
+    {{"htm", {SeedKey}},
+     [](PushPullMachine &M, const Slots &V, const std::string *) -> EnginePtr {
+       HtmConfig C;
+       C.Seed = V[0];
+       return std::make_unique<HtmTM>(M, C);
+     }},
+    {{"htm-word", {SeedKey}},
+     [](PushPullMachine &M, const Slots &V, const std::string *) -> EnginePtr {
+       HtmConfig C;
+       C.Seed = V[0];
+       C.WordGranularity = true;
+       return std::make_unique<HtmTM>(M, C);
+     }},
+    {{"hybrid", {SeedKey, {"conflictpct", 0, 0, 100}}, "htm"},
+     [](PushPullMachine &M, const Slots &V,
+        const std::string *Htm) -> EnginePtr {
+       HybridConfig C;
+       C.Seed = V[0];
+       C.ConflictChancePct = u32(V[1]);
+       if (Htm)
+         for (const std::string &Obj : splitOn(*Htm, ','))
+           if (!Obj.empty())
+             C.HtmObjects.insert(Obj);
+       return std::make_unique<HybridHtmBoostingTM>(M, std::move(C));
+     }},
+};
+
+constexpr KeySet ScheduleKeys{"schedule",
+                              {SeedKey,
+                               {"maxsteps", 200000, 1, U64Max},
+                               {"changepoints", 3, 0, MaxChangePoints}}};
+constexpr KeySet ReplayKeys{"schedule",
+                            {SeedKey, ScheduleKeys.Nums[1],
+                             ScheduleKeys.Nums[2]},
+                            "picks"};
+
+template <typename Row, size_t N>
+const Row *findKind(const Row (&Table)[N], const std::string &Name) {
+  for (const Row &K : Table)
+    if (Name == K.Keys.Name)
+      return &K;
+  return nullptr;
 }
 
-std::string strOr(const std::map<std::string, std::string> &Opts,
-                  const std::string &Key, const std::string &Default) {
-  auto It = Opts.find(Key);
-  return It == Opts.end() ? Default : It->second;
+/// Read \p Opts, the options of `<Directive> <Name>`, against \p Keys:
+/// each numeric key into its slot of \p Out (the default when absent),
+/// the text key's value into \p Text (null when absent).  Any key \p Keys
+/// does not list, or a number that is not whole or out of range, sets
+/// \p Error naming the key and what it takes, and returns false.
+bool readKeys(const char *Directive, const std::string &Name,
+              const KeySet &Keys, const Options &Opts, Slots &Out,
+              const std::string *&Text, std::string &Error) {
+  for (size_t I = 0; I < 3; ++I)
+    Out[I] = Keys.Nums[I].Default;
+  Text = nullptr;
+  for (const auto &[Key, Value] : Opts) {
+    if (Keys.Text && Key == Keys.Text) {
+      Text = &Value;
+      continue;
+    }
+    size_t I = 0;
+    while (I < 3 && Keys.Nums[I].Key && Key != Keys.Nums[I].Key)
+      ++I;
+    if (I == 3 || !Keys.Nums[I].Key) {
+      std::string Takes = Keys.Nums[0].Key;
+      for (const char *K : {Keys.Nums[1].Key, Keys.Nums[2].Key, Keys.Text})
+        if (K)
+          Takes.append(", ").append(K);
+      Error = "unknown key '" + Key + "' on " + Directive + " " + Name +
+              " (it takes " + Takes + ")";
+      return false;
+    }
+    const NumKey &K = Keys.Nums[I];
+    if (!readWhole(Value, K.Min, K.Max, Out[I])) {
+      Error = wholeNumberError(Key, K.Min, K.Max, Value);
+      return false;
+    }
+  }
+  return true;
 }
 
 void collectTxs(const CodePtr &C, std::vector<CodePtr> &Out, bool &Bad) {
@@ -92,112 +295,54 @@ void collectTxs(const CodePtr &C, std::vector<CodePtr> &Out, bool &Bad) {
 } // namespace
 
 std::shared_ptr<const SequentialSpec>
-pushpull::makeSpecPart(const std::string &Kind,
-                       const std::map<std::string, std::string> &Opts,
+pushpull::makeSpecPart(const std::string &Kind, const Options &Opts,
                        std::string &Name, std::string &Error) {
-  Name = strOr(Opts, "name", Kind);
-  if (Kind == "register")
-    return std::make_shared<RegisterSpec>(
-        Name, static_cast<unsigned>(numOr(Opts, "regs", 4)),
-        static_cast<unsigned>(numOr(Opts, "vals", 4)));
-  if (Kind == "counter")
-    return std::make_shared<CounterSpec>(
-        Name, static_cast<unsigned>(numOr(Opts, "counters", 2)),
-        static_cast<unsigned>(numOr(Opts, "mod", 8)));
-  if (Kind == "set")
-    return std::make_shared<SetSpec>(
-        Name, static_cast<unsigned>(numOr(Opts, "keys", 8)));
-  if (Kind == "map")
-    return std::make_shared<MapSpec>(
-        Name, static_cast<unsigned>(numOr(Opts, "keys", 8)),
-        static_cast<unsigned>(numOr(Opts, "vals", 4)));
-  if (Kind == "queue")
-    return std::make_shared<QueueSpec>(
-        Name, static_cast<unsigned>(numOr(Opts, "cap", 4)),
-        static_cast<unsigned>(numOr(Opts, "vals", 2)));
-  if (Kind == "bank")
-    return std::make_shared<BankSpec>(
-        Name, static_cast<unsigned>(numOr(Opts, "accounts", 2)),
-        static_cast<unsigned>(numOr(Opts, "cap", 4)),
-        static_cast<unsigned>(numOr(Opts, "initial", 2)));
-  Error = "unknown spec kind '" + Kind + "'";
-  return nullptr;
+  const SpecKind *K = findKind(SpecKinds, Kind);
+  if (!K) {
+    Error = "unknown spec kind '" + Kind + "'";
+    return nullptr;
+  }
+  Slots V;
+  const std::string *Text;
+  if (!readKeys("spec", Kind, K->Keys, Opts, V, Text, Error))
+    return nullptr;
+  Name = Text ? *Text : Kind;
+  return K->Make(Name, V, Error);
 }
 
 std::unique_ptr<TMEngine>
-pushpull::makeEngine(const std::string &Name,
-                     const std::map<std::string, std::string> &Opts,
+pushpull::makeEngine(const std::string &Name, const Options &Opts,
                      PushPullMachine &M, std::string &Error) {
-  uint64_t Seed = std::stoull(
-      Opts.count("seed") && !Opts.at("seed").empty() ? Opts.at("seed") : "1");
-
-  if (Name == "optimistic")
-    return std::make_unique<OptimisticTM>(M, OptimisticConfig{Seed});
-  if (Name == "checkpoint") {
-    CheckpointConfig C;
-    C.Seed = Seed;
-    C.CheckpointEvery = static_cast<unsigned>(numOr(Opts, "every", 2));
-    return std::make_unique<CheckpointTM>(M, C);
+  const EngineKind *K = findKind(EngineKinds, Name);
+  if (!K) {
+    Error = "unknown engine '" + Name + "'";
+    return nullptr;
   }
-  if (Name == "boosting") {
-    BoostingConfig C;
-    C.Seed = Seed;
-    C.DeadlockThreshold =
-        static_cast<unsigned>(numOr(Opts, "deadlock", 8));
-    C.KeyGranularLocks = numOr(Opts, "keylocks", 1) != 0;
-    return std::make_unique<BoostingTM>(M, C);
-  }
-  if (Name == "pessimistic") {
-    PessimisticConfig C;
-    C.Seed = Seed;
-    return std::make_unique<PessimisticCommitTM>(M, std::move(C));
-  }
-  if (Name == "irrevocable") {
-    IrrevocableConfig C;
-    C.Seed = Seed;
-    C.IrrevocableThread =
-        static_cast<TxId>(numOr(Opts, "irrevocable", 0));
-    return std::make_unique<IrrevocableTM>(M, C);
-  }
-  if (Name == "dependent") {
-    DependentConfig C;
-    C.Seed = Seed;
-    C.AbortChancePct =
-        static_cast<unsigned>(numOr(Opts, "abortpct", 0));
-    return std::make_unique<DependentTM>(M, C);
-  }
-  if (Name == "early-release")
-    return std::make_unique<EarlyReleaseTM>(M, EarlyReleaseConfig{Seed});
-  if (Name == "htm" || Name == "htm-word") {
-    HtmConfig C;
-    C.Seed = Seed;
-    C.WordGranularity = Name == "htm-word";
-    return std::make_unique<HtmTM>(M, C);
-  }
-  if (Name == "hybrid") {
-    HybridConfig C;
-    C.Seed = Seed;
-    C.ConflictChancePct =
-        static_cast<unsigned>(numOr(Opts, "conflictpct", 0));
-    for (const std::string &Obj : splitOn(strOr(Opts, "htm", ""), ','))
-      if (!Obj.empty())
-        C.HtmObjects.insert(Obj);
-    return std::make_unique<HybridHtmBoostingTM>(M, std::move(C));
-  }
-  Error = "unknown engine '" + Name + "'";
-  return nullptr;
+  Slots V;
+  const std::string *Text;
+  if (!readKeys("engine", Name, K->Keys, Opts, V, Text, Error))
+    return nullptr;
+  return K->Make(M, V, Text);
 }
 
+namespace {
+template <typename Row, size_t N>
+std::vector<std::string> namesOf(const Row (&Table)[N]) {
+  std::vector<std::string> Out;
+  Out.reserve(N);
+  for (const Row &K : Table)
+    Out.emplace_back(K.Keys.Name);
+  return Out;
+}
+} // namespace
+
 const std::vector<std::string> &pushpull::allEngineNames() {
-  static const std::vector<std::string> Names = {
-      "optimistic", "checkpoint", "boosting",      "pessimistic", "irrevocable",
-      "dependent",  "early-release", "htm",        "htm-word",    "hybrid"};
+  static const std::vector<std::string> Names = namesOf(EngineKinds);
   return Names;
 }
 
 const std::vector<std::string> &pushpull::allSpecKinds() {
-  static const std::vector<std::string> Kinds = {
-      "register", "counter", "set", "map", "queue", "bank"};
+  static const std::vector<std::string> Kinds = namesOf(SpecKinds);
   return Kinds;
 }
 
@@ -220,6 +365,9 @@ ScenarioParseResult pushpull::parseScenario(const std::string &Text) {
   auto Composite = std::make_shared<CompositeSpec>();
   std::vector<std::pair<std::string, std::shared_ptr<const SequentialSpec>>>
       Parts;
+
+  size_t EngineLine = 0, PicksLine = 0;
+  std::string PicksText;
 
   auto Fail = [&](size_t LineNo, std::string Msg) {
     Out.Error = std::move(Msg);
@@ -257,6 +405,7 @@ ScenarioParseResult pushpull::parseScenario(const std::string &Text) {
         return Fail(N + 1, "engine needs a name");
       S->Engine = Ws[1];
       S->EngineOpts = options(Ws, 2);
+      EngineLine = N + 1;
       continue;
     }
     if (Directive == "schedule") {
@@ -272,24 +421,25 @@ ScenarioParseResult pushpull::parseScenario(const std::string &Text) {
         S->Policy = SchedulePolicy::Replay;
       else
         return Fail(N + 1, "unknown schedule policy '" + Ws[1] + "'");
-      auto Opts = options(Ws, 2);
-      S->ScheduleSeed = numOr(Opts, "seed", 1);
-      S->MaxSteps = numOr(Opts, "maxsteps", 200000);
-      S->ChangePoints =
-          static_cast<unsigned>(numOr(Opts, "changepoints", 3));
+      Options Opts = options(Ws, 2);
+      Slots V;
+      const std::string *Picks;
+      std::string Error;
+      if (!readKeys("schedule", Ws[1],
+                    S->Policy == SchedulePolicy::Replay ? ReplayKeys
+                                                        : ScheduleKeys,
+                    Opts, V, Picks, Error))
+        return Fail(N + 1, Error);
+      S->ScheduleSeed = V[0];
+      S->MaxSteps = V[1];
+      S->ChangePoints = static_cast<unsigned>(V[2]);
+      // Picks name threads, so they are read once every thread is known.
+      PicksLine = 0;
       if (S->Policy == SchedulePolicy::Replay) {
-        std::string Picks = strOr(Opts, "picks", "");
-        if (Picks.empty())
+        if (!Picks || Picks->empty())
           return Fail(N + 1, "schedule replay needs picks=t0,t1,...");
-        for (const std::string &P : splitOn(Picks, ',')) {
-          if (P.empty())
-            continue;
-          char *End = nullptr;
-          unsigned long V = std::strtoul(P.c_str(), &End, 10);
-          if (End == P.c_str() || *End != '\0')
-            return Fail(N + 1, "bad replay pick '" + P + "'");
-          S->ReplayPicks.push_back(static_cast<uint32_t>(V));
-        }
+        PicksText = *Picks;
+        PicksLine = N + 1;
       }
       continue;
     }
@@ -334,6 +484,31 @@ ScenarioParseResult pushpull::parseScenario(const std::string &Text) {
     return Fail(0, "scenario declares no spec");
   if (S->Threads.empty())
     return Fail(0, "scenario declares no threads");
+  // A known engine's options are checked now, not first when the engine
+  // is built, and a thread key must name a thread of this file; an
+  // unknown name is left to the linter and the run.
+  if (const EngineKind *K = findKind(EngineKinds, S->Engine)) {
+    Slots V;
+    const std::string *Text;
+    std::string Error;
+    if (!readKeys("engine", S->Engine, K->Keys, S->EngineOpts, V, Text,
+                  Error))
+      return Fail(EngineLine, Error);
+    for (size_t I = 0; I < 3; ++I)
+      if (K->Keys.Nums[I].Thread && V[I] >= S->Threads.size())
+        return Fail(EngineLine,
+                    wholeNumberError(K->Keys.Nums[I].Key, 0,
+                                     S->Threads.size() - 1,
+                                     std::to_string(V[I])));
+  }
+  if (PicksLine)
+    for (const std::string &P : splitOn(PicksText, ',')) {
+      uint64_t T;
+      if (!readWhole(P, 0, S->Threads.size() - 1, T))
+        return Fail(PicksLine, wholeNumberError("picks", 0,
+                                                S->Threads.size() - 1, P));
+      S->ReplayPicks.push_back(static_cast<uint32_t>(T));
+    }
 
   if (Parts.size() == 1) {
     S->Spec = Parts[0].second;
@@ -344,6 +519,18 @@ ScenarioParseResult pushpull::parseScenario(const std::string &Text) {
   }
   Out.Parsed = std::move(S);
   return Out;
+}
+
+ScenarioParseResult pushpull::readScenarioFile(const std::string &Path) {
+  std::ifstream In(Path);
+  if (!In) {
+    ScenarioParseResult Out;
+    Out.Error = "cannot open '" + Path + "'";
+    return Out;
+  }
+  std::ostringstream Buf;
+  Buf << In.rdbuf();
+  return parseScenario(Buf.str());
 }
 
 ScenarioOutcome pushpull::runScenario(const Scenario &S) {

@@ -24,6 +24,8 @@
 /// mixture).  Supported specs: register, counter, set, map, queue, bank.
 /// Supported engines: optimistic, checkpoint, boosting, pessimistic,
 /// irrevocable, dependent, early-release, htm, htm-word, hybrid.
+/// docs/SCENARIOS.md lists the keys each directive takes and their
+/// ranges; any other key is an error.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,6 +37,7 @@
 #include "sim/Scheduler.h"
 #include "sim/Stats.h"
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
@@ -97,14 +100,35 @@ struct ScenarioParseResult {
   bool ok() const { return Parsed != nullptr; }
 };
 
-/// Parse the scenario text format.  Never throws.
+/// Largest value of a spec size option (regs, vals, counters, mod, keys,
+/// cap, accounts, initial).  Domains stay small so the oracle and the
+/// linter's state enumeration stay cheap; the scenarios, tests and the
+/// fuzz generator use at most 16.
+inline constexpr uint64_t MaxSpecSize = 64;
+
+/// Most PCT change points a schedule line takes: the scheduler scatters
+/// them over the first 4096 steps.
+inline constexpr uint64_t MaxChangePoints = 4096;
+
+/// Parse the scenario text format.  Never throws: every failure is an
+/// Error with the line it is on (0 for a file-level error such as a
+/// missing spec).  The parser checks the directives, their keys, and
+/// every number — each must be whole and in its key's range, picks and
+/// `irrevocable` must name a thread of the scenario, and program
+/// literals must fit a Value — and a known engine's options.  It leaves
+/// to the linter and the run an unknown engine, check or inject name.
 ScenarioParseResult parseScenario(const std::string &Text);
+
+/// Read the file at \p Path and parse it; an unreadable file is a
+/// file-level error.
+ScenarioParseResult readScenarioFile(const std::string &Path);
 
 /// Build one spec part from a scenario-style kind ("register", "counter",
 /// "set", "map", "queue", "bank") and key=value options.  \p Name receives
 /// the part's object name (the "name" option, defaulting to the kind).
-/// Returns nullptr and sets \p Error for an unknown kind.  Shared by the
-/// scenario parser and the fuzzer's case builder.
+/// Returns nullptr and sets \p Error for an unknown kind, a key the kind
+/// does not take, or a size that is not a whole number in range.  Shared
+/// by the scenario parser and the fuzzer's case builder.
 std::shared_ptr<const SequentialSpec>
 makeSpecPart(const std::string &Kind,
              const std::map<std::string, std::string> &Opts,
@@ -114,7 +138,12 @@ makeSpecPart(const std::string &Kind,
 /// "boosting", "pessimistic", "irrevocable", "dependent", "early-release",
 /// "htm", "htm-word", "hybrid") over \p M, honouring the engine's
 /// key=value options.  Returns nullptr and sets \p Error for an unknown
-/// name.  Shared by runScenario and the fuzzer's DiffRunner.
+/// name, a key the engine does not take, or a value outside its key's
+/// range.  A thread key (`irrevocable`) is not checked against \p M's
+/// threads, since a machine may get its threads after its engine (the
+/// prover builds one with none); parseScenario checks it against the
+/// file.  Never throws.  Shared by runScenario, the fuzzer's DiffRunner,
+/// the stress runtime and the prover.
 std::unique_ptr<TMEngine>
 makeEngine(const std::string &Name,
            const std::map<std::string, std::string> &Opts,

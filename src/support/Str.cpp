@@ -31,3 +31,29 @@ std::vector<std::string> pushpull::splitOn(const std::string &S, char Sep) {
   }
   return Out;
 }
+
+bool pushpull::readWhole(std::string_view Text, uint64_t Min, uint64_t Max,
+                         uint64_t &Out) {
+  if (Text.empty())
+    return false;
+  uint64_t V = 0;
+  for (char C : Text) {
+    if (C < '0' || C > '9')
+      return false;
+    uint64_t D = static_cast<uint64_t>(C - '0');
+    if (D > Max || V > (Max - D) / 10)
+      return false; // Above Max, so never past 2^64 either.
+    V = V * 10 + D;
+  }
+  if (V < Min)
+    return false;
+  Out = V;
+  return true;
+}
+
+std::string pushpull::wholeNumberError(std::string_view What, uint64_t Min,
+                                       uint64_t Max, std::string_view Text) {
+  return std::string(What) + " needs a whole number from " +
+         std::to_string(Min) + " to " + std::to_string(Max) + ", got '" +
+         std::string(Text) + "'";
+}

@@ -107,3 +107,41 @@ TEST(FuzzSmoke, ExpectedMasksCoverAllRulesJointly) {
   EXPECT_EQ(Union, 0x7Fu);
   EXPECT_EQ(expectedRuleMask("no-such-engine"), 0u);
 }
+
+TEST(FuzzSmoke, UnbuildableCasesFailTheCampaign) {
+  // A config built without the CLI can name an engine or spec kind that
+  // does not exist; every such case counts, and the campaign fails.
+  CampaignConfig C = smokeConfig();
+  C.MutantPct = 0;
+  C.Runs = 5;
+  C.Gen.Engines = {"bogus"};
+  CampaignReport R = Campaign(C).run();
+  EXPECT_EQ(R.BuildErrors, 5u) << R.toString();
+  EXPECT_NE(R.FirstBuildError.find("bogus"), std::string::npos)
+      << R.FirstBuildError;
+  EXPECT_NE(R.toString().find("BUILD ERRORS: 5"), std::string::npos);
+  EXPECT_FALSE(R.ok());
+
+  C.Gen.Engines = {"optimistic"}; // Its one directed case builds.
+  C.Gen.SpecKinds = {"bogus"};
+  R = Campaign(C).run();
+  EXPECT_EQ(R.BuildErrors, 4u) << R.toString();
+  EXPECT_FALSE(R.ok());
+}
+
+TEST(FuzzSmoke, EveryGeneratedCaseParsesStrictly) {
+  // The generator writes only keys its engines and specs take (hybrid
+  // cases carry no keylocks), so every case's text passes the strict
+  // scenario parser.
+  GeneratorConfig GC;
+  GC.Seed = 5;
+  Generator G(GC);
+  for (int I = 0; I < 140; ++I) {
+    FuzzCase F = G.next();
+    ScenarioParseResult PR = parseScenario(F.toScenarioText());
+    EXPECT_TRUE(PR.ok()) << PR.Error << "\n" << F.toScenarioText();
+    if (F.Engine == "hybrid") {
+      EXPECT_EQ(F.EngineOpts.count("keylocks"), 0u);
+    }
+  }
+}

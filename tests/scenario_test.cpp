@@ -2,9 +2,18 @@
 
 #include "sim/Scenario.h"
 
+#include "analysis/Lint.h"
+#include "analysis/MoverTable.h"
 #include "lang/Parser.h"
+#include "spec/RegisterSpec.h"
+#include "support/Rng.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 
 using namespace pushpull;
 
@@ -191,4 +200,183 @@ check serializability
   EXPECT_EQ(R.Parsed->ChangePoints, 2u);
   ScenarioOutcome O = runScenario(*R.Parsed);
   EXPECT_TRUE(O.Ok) << (O.CheckResults.empty() ? "?" : O.CheckResults[0]);
+}
+
+// -- Strict numbers and keys --------------------------------------------------
+
+TEST(ScenarioParse, BadNumbersAndKeysNameTheirField) {
+  const std::string Threads = "thread tx { mem.write(0, 1) }\n"
+                              "thread tx { v := mem.read(0) }\n";
+  const std::string Mem = "spec register name=mem regs=2 vals=2\n";
+  struct Case {
+    std::string Text;
+    size_t Line;
+    const char *Names;
+  } Cases[] = {
+      {Mem + "engine boosting seed=x\n" + Threads, 2, "seed"},
+      {Mem + "schedule random seed=1 maxsteps=5x\n" + Threads, 2,
+       "maxsteps"},
+      {"spec counter name=mem counters=-1\n" + Threads, 1, "counters"},
+      {"spec register name=mem regs=65 vals=2\n" + Threads, 1, "regs"},
+      {"spec bank name=mem accounts=2 cap=2 initial=3\n" + Threads, 1,
+       "initial"},
+      {Mem + "schedule pct changepoints=4097\n" + Threads, 2,
+       "changepoints"},
+      {Mem + "engine dependent abortpct=101\n" + Threads, 2, "abortpct"},
+      {Mem + "engine irrevocable irrevocable=2\n" + Threads, 2,
+       "irrevocable"},
+      {Mem + "schedule replay picks=0,2\n" + Threads, 2, "picks"},
+      {Mem + "schedule replay picks=0,,1\n" + Threads, 2, "picks"},
+      {Mem + "engine boosting sed=5\n" + Threads, 2, "'sed'"},
+      {Mem + "engine hybrid keylocks=1\n" + Threads, 2, "'keylocks'"},
+      {Mem + "schedule random maxstep=10\n" + Threads, 2, "'maxstep'"},
+      {Mem + "schedule random picks=0\n" + Threads, 2, "'picks'"},
+      {"spec register name=mem regs=2 vals=2 regz=3\n" + Threads, 1,
+       "'regz'"},
+      {Mem + "thread tx { mem.write(0, 9223372036854775808) }\n", 2,
+       "integer literal"},
+  };
+  for (const Case &C : Cases) {
+    ScenarioParseResult R = parseScenario(C.Text);
+    ASSERT_FALSE(R.ok()) << C.Text;
+    EXPECT_EQ(R.ErrorLine, C.Line) << R.Error;
+    EXPECT_NE(R.Error.find(C.Names), std::string::npos) << R.Error;
+  }
+}
+
+TEST(ScenarioParse, RangeEdgesStayValid) {
+  ScenarioParseResult R = parseScenario(R"(
+spec register name=mem regs=64 vals=64
+engine irrevocable seed=18446744073709551615 irrevocable=1
+schedule pct seed=0 maxsteps=1 changepoints=4096
+thread tx { mem.write(0, -9223372036854775808) }
+thread tx { mem.write(63, 9223372036854775807) }
+)");
+  ASSERT_TRUE(R.ok()) << R.Error;
+  EXPECT_EQ(R.Parsed->ChangePoints, 4096u);
+  // An unknown engine is the linter's and the run's to report, with its
+  // options unread.
+  EXPECT_TRUE(parseScenario("spec register\nengine warp seed=x\n"
+                            "thread tx { register.read(0) }\n")
+                  .ok());
+}
+
+TEST(ScenarioParse, MakeEngineReportsBadOptions) {
+  RegisterSpec Spec("mem", 1, 2);
+  MoverChecker Movers(Spec);
+  PushPullMachine M(Spec, Movers);
+  M.addThread({call("mem", "read", {Value(0)})});
+  std::string Error;
+  EXPECT_FALSE(makeEngine("boosting", {{"seed", "x"}}, M, Error));
+  EXPECT_NE(Error.find("seed needs a whole number"), std::string::npos)
+      << Error;
+  EXPECT_FALSE(makeEngine("dependent", {{"abortpct", "101"}}, M, Error));
+  EXPECT_NE(Error.find("abortpct needs a whole number from 0 to 100"),
+            std::string::npos)
+      << Error;
+  // Thread keys are the parser's to bound: the prover builds its engine
+  // over a machine with no threads.
+  PushPullMachine NoThreads(Spec, Movers);
+  EXPECT_TRUE(makeEngine("irrevocable", {{"irrevocable", "1"}}, NoThreads,
+                         Error))
+      << Error;
+}
+
+TEST(ScenarioParse, ProverBuildsIrrevocableEngineForAnyThread) {
+  auto Prove = [](const std::string &Irrevocable) {
+    ScenarioParseResult R = parseScenario(
+        "spec register name=mem regs=2 vals=2\n"
+        "engine irrevocable seed=1 irrevocable=" +
+        Irrevocable +
+        "\n"
+        "thread tx { mem.write(0, 1) }\n"
+        "thread tx { v := mem.read(1) }\n");
+    if (!R.ok())
+      return ProveResult{ProveResult::Verdict::Unproved, R.Error};
+    CommutativityDB DB(*R.Parsed->Spec, R.Parsed->Movers.MaxReachableSets);
+    return proveSerializable(*R.Parsed, DB);
+  };
+  ProveResult Zero = Prove("0"), One = Prove("1");
+  EXPECT_EQ(Zero.V, ProveResult::Verdict::Proved) << Zero.Detail;
+  EXPECT_EQ(One.V, Zero.V) << One.Detail;
+  EXPECT_EQ(One.Detail, Zero.Detail);
+}
+
+// -- Byte-mutation smoke over scenarios/ ----------------------------------------
+
+namespace {
+
+/// One byte edit of \p Text: replace, insert or delete, mostly at a digit
+/// or '=' and mostly writing one, sometimes inserting a run of digits.
+void mutateBytes(std::string &Text, Rng &R) {
+  static const char Biased[] = "0123456789=-,";
+  auto Byte = [&] {
+    return R.chance(3, 4) ? Biased[R.below(sizeof(Biased) - 1)]
+                          : static_cast<char>(R.below(256));
+  };
+  size_t At = R.below(Text.size() + 1);
+  if (R.chance(2, 3)) // Slide to the next digit or '=' (numbers and keys).
+    At = std::min(Text.find_first_of("0123456789=", At), Text.size());
+  switch (R.below(4)) {
+  case 0:
+    if (At < Text.size())
+      Text[At] = Byte();
+    break;
+  case 1:
+    Text.insert(Text.begin() + static_cast<std::ptrdiff_t>(At), Byte());
+    break;
+  case 2:
+    if (At < Text.size())
+      Text.erase(At, 1);
+    break;
+  default: {
+    std::string Run(1 + R.below(24), '0');
+    for (char &C : Run)
+      C = static_cast<char>('0' + R.below(10));
+    Text.insert(At, Run);
+    break;
+  }
+  }
+}
+
+} // namespace
+
+// The parser and the linter take any bytes: an escaped exception or a
+// crash fails this test (there is no catch), and every parse failure
+// carries the line it is on unless the whole file is at fault.
+TEST(ScenarioMutation, ParserAndLinterSurviveByteMutations) {
+  namespace fs = std::filesystem;
+  std::vector<std::string> Seeds;
+  std::vector<fs::path> Paths;
+  for (const auto &E : fs::recursive_directory_iterator(PUSHPULL_SCENARIOS_DIR))
+    if (E.is_regular_file() && E.path().extension() == ".pp")
+      Paths.push_back(E.path());
+  std::sort(Paths.begin(), Paths.end());
+  for (const fs::path &P : Paths) {
+    std::ifstream In(P);
+    std::ostringstream Buf;
+    Buf << In.rdbuf();
+    Seeds.push_back(Buf.str());
+  }
+  ASSERT_FALSE(Seeds.empty());
+
+  Rng R(20151013);
+  size_t Linted = 0;
+  for (int I = 0; I < 300; ++I) {
+    std::string Text = Seeds[R.below(Seeds.size())];
+    for (uint64_t E = R.range(1, 3); E > 0; --E)
+      mutateBytes(Text, R);
+    ScenarioParseResult P = parseScenario(Text);
+    if (!P.ok()) {
+      EXPECT_FALSE(P.Error.empty());
+      if (P.ErrorLine == 0) {
+        EXPECT_EQ(P.Error.rfind("scenario declares no", 0), 0u)
+            << P.Error << "\n" << Text;
+      }
+      continue;
+    }
+    lintScenarioText("mutant.pp", Text);
+    ++Linted;
+  }
+  EXPECT_GT(Linted, 0u);
 }

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 
 using namespace pushpull;
@@ -164,6 +165,26 @@ TEST(Str, SplitOn) {
   EXPECT_EQ(splitOn("", ','), (std::vector<std::string>{""}));
   EXPECT_EQ(splitOn("a,", ','), (std::vector<std::string>{"a", ""}));
   EXPECT_EQ(splitOn(",a", ','), (std::vector<std::string>{"", "a"}));
+}
+
+TEST(Str, ReadWholeTakesOnlyDigitsInRange) {
+  uint64_t V = 7;
+  EXPECT_TRUE(readWhole("0", 0, 10, V));
+  EXPECT_EQ(V, 0u);
+  EXPECT_TRUE(readWhole("18446744073709551615", 0, UINT64_MAX, V));
+  EXPECT_EQ(V, UINT64_MAX);
+  EXPECT_TRUE(readWhole("0064", 1, 64, V));
+  EXPECT_EQ(V, 64u);
+  V = 7;
+  for (const char *Bad : {"", "x", "5x", "-1", "+1", " 1", "1 ", "1.0", "0x1",
+                          "65", "18446744073709551616",
+                          "99999999999999999999999"})
+    EXPECT_FALSE(readWhole(Bad, 1, 64, V)) << Bad;
+  EXPECT_FALSE(readWhole("0", 1, 64, V));
+  EXPECT_FALSE(readWhole("5", 0, 0, V));
+  EXPECT_EQ(V, 7u) << "a refused number leaves the output alone";
+  EXPECT_EQ(wholeNumberError("keys", 1, 64, "x"),
+            "keys needs a whole number from 1 to 64, got 'x'");
 }
 
 //===----------------------------------------------------------------------===//

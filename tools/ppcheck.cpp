@@ -30,13 +30,20 @@
 // Scope knobs (audits): --threads N --max-local N --max-local-other N
 //   --max-global N --max-alphabet N --max-shapes N --spec register|counter
 //
+// Scope numbers are whole decimals of at least 1; engine, spec and
+// criterion names must be known ones.  Every valued option also takes
+// the --name=VALUE form.
+//
 // Verbosity: --witnesses prints every conviction witness; audits always
 // print a per-item PASS/FAIL summary.
 //
-// Exit status: 0 all checks clean, 1 findings, 2 usage error.
+// Exit status: 0 all checks clean, 1 findings (a lint diagnostic
+// included), 2 usage or input error (a --prove file that cannot be read
+// or parsed included).
 //
 //===----------------------------------------------------------------------===//
 
+#include "Cli.h"
 #include "analysis/IndependenceAudit.h"
 #include "analysis/Lint.h"
 #include "analysis/MoverTable.h"
@@ -46,13 +53,11 @@
 #include "spec/RegisterSpec.h"
 #include "tm/Engine.h"
 
+#include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -297,22 +302,12 @@ int runProve(const std::vector<std::string> &Paths, bool Witnesses) {
   size_t Proved = 0, Conflicts = 0, Unproved = 0;
   uint64_t CertChecks = 0;
   for (const std::string &F : Files) {
-    std::ifstream In(F);
-    if (!In) {
-      std::fprintf(stderr, "ppcheck: cannot open '%s'\n", F.c_str());
-      Rc = 1;
+    std::unique_ptr<Scenario> Parsed = cli::loadScenario(F);
+    if (!Parsed) {
+      Rc = 2;
       continue;
     }
-    std::ostringstream Buf;
-    Buf << In.rdbuf();
-    ScenarioParseResult PR = parseScenario(Buf.str());
-    if (!PR.ok()) {
-      std::fprintf(stderr, "%s:%zu: error: %s\n", F.c_str(), PR.ErrorLine,
-                   PR.Error.c_str());
-      Rc = 1;
-      continue;
-    }
-    const Scenario &S = *PR.Parsed;
+    const Scenario &S = *Parsed;
     CommutativityDB DB(*S.Spec, S.Movers.MaxReachableSets);
     ProveResult R = proveSerializable(S, DB);
     CertChecks += DB.certChecks();
@@ -337,119 +332,63 @@ int runProve(const std::vector<std::string> &Paths, bool Witnesses) {
               "unproved, cert-checks=%llu\n",
               Files.size(), Proved, Conflicts, Unproved,
               static_cast<unsigned long long>(CertChecks));
-  // All three verdicts are analysis results, not findings: only I/O and
-  // parse errors fail the run.
+  // All three verdicts are analysis results, not findings: only input
+  // errors fail the run.
   return Rc;
-}
-
-void usage() {
-  std::fprintf(
-      stderr,
-      "usage: ppcheck [--all-engines | --engine NAME | --battery |\n"
-      "                --independence | --inject NAME | --lint PATH... |\n"
-      "                --movers | --prove PATH... | --list-criteria]\n"
-      "               [--threads N] [--max-local N] [--max-local-other N]\n"
-      "               [--max-global N] [--max-alphabet N] [--max-shapes N]\n"
-      "               [--spec register|counter] [--witnesses]\n");
 }
 
 } // namespace
 
 int main(int argc, char **argv) {
   Options Opt;
-  bool AllEngines = false, Battery = false, Independence = false;
+  bool AllEngines = false, Battery = false, Independence = false,
+       Movers = false, ListCriteria = false, Help = false;
   std::string OnlyEngine, Inject;
   std::vector<std::string> LintPaths, ProvePaths;
-  bool Lint = false, Movers = false, Prove = false;
-
-  for (int I = 1; I < argc; ++I) {
-    std::string A = argv[I];
-    auto NextArg = [&](const char *Flag) -> const char * {
-      if (I + 1 >= argc) {
-        std::fprintf(stderr, "ppcheck: %s needs an argument\n", Flag);
-        return nullptr;
-      }
-      return argv[++I];
-    };
-    if (A == "--all-engines") {
-      AllEngines = true;
-    } else if (A == "--engine") {
-      const char *V = NextArg("--engine");
-      if (!V)
-        return 2;
-      OnlyEngine = V;
-    } else if (A == "--battery") {
-      Battery = true;
-    } else if (A == "--independence") {
-      Independence = true;
-    } else if (A == "--inject") {
-      const char *V = NextArg("--inject");
-      if (!V)
-        return 2;
-      Inject = V;
-    } else if (A == "--lint") {
-      Lint = true;
-      while (I + 1 < argc && argv[I + 1][0] != '-')
-        LintPaths.push_back(argv[++I]);
-    } else if (A == "--movers") {
-      Movers = true;
-    } else if (A == "--prove") {
-      Prove = true;
-      while (I + 1 < argc && argv[I + 1][0] != '-')
-        ProvePaths.push_back(argv[++I]);
-    } else if (A == "--list-criteria") {
-      for (const std::string &N : injectableCriteria())
-        std::printf("%s\n", N.c_str());
-      return 0;
-    } else if (A == "--threads") {
-      const char *V = NextArg(A.c_str());
-      if (!V)
-        return 2;
-      Opt.Scope.Threads = static_cast<unsigned>(std::atol(V));
-    } else if (A == "--max-local") {
-      const char *V = NextArg(A.c_str());
-      if (!V)
-        return 2;
-      Opt.Scope.MaxLocalSubject = static_cast<unsigned>(std::atol(V));
-    } else if (A == "--max-local-other") {
-      const char *V = NextArg(A.c_str());
-      if (!V)
-        return 2;
-      Opt.Scope.MaxLocalOther = static_cast<unsigned>(std::atol(V));
-    } else if (A == "--max-global") {
-      const char *V = NextArg(A.c_str());
-      if (!V)
-        return 2;
-      Opt.Scope.MaxGlobal = static_cast<unsigned>(std::atol(V));
-    } else if (A == "--max-alphabet") {
-      const char *V = NextArg(A.c_str());
-      if (!V)
-        return 2;
-      Opt.Scope.MaxAlphabet = static_cast<unsigned>(std::atol(V));
-    } else if (A == "--max-shapes") {
-      const char *V = NextArg(A.c_str());
-      if (!V)
-        return 2;
-      Opt.MaxShapes = static_cast<uint64_t>(std::atoll(V));
-    } else if (A == "--spec") {
-      const char *V = NextArg(A.c_str());
-      if (!V)
-        return 2;
-      Opt.SpecOnly = V;
-      if (specLadder(Opt.SpecOnly).empty()) {
-        std::fprintf(stderr, "ppcheck: --spec must be register or counter\n");
-        return 2;
-      }
-    } else if (A == "--witnesses") {
-      Opt.Witnesses = true;
-    } else if (A == "--help" || A == "-h") {
-      usage();
-      return 0;
-    } else {
-      std::fprintf(stderr, "ppcheck: unknown option '%s'\n", A.c_str());
-      usage();
-      return 2;
-    }
+  cli::OptionTable Opts(
+      "ppcheck", "ppcheck [--all-engines | --engine NAME | --battery |\n"
+                 "                --independence | --inject NAME | --lint "
+                 "PATH... |\n"
+                 "                --movers | --prove PATH... | "
+                 "--list-criteria] [scope options]");
+  Opts.flag("--all-engines", AllEngines,
+            "criterion audit of every engine, battery, independence")
+      .text("--engine", "NAME", OnlyEngine, "criterion audit for one engine",
+            allEngineNames())
+      .flag("--battery", Battery, "the fault-injection negative battery")
+      .flag("--independence", Independence, "independence-relation audit")
+      .text("--inject", "NAME", Inject, "audit with that criterion disabled",
+            injectableCriteria())
+      .paths("--lint", LintPaths, "semantic lint of .pp scenario files")
+      .flag("--movers", Movers, "certified mover/commutativity tables")
+      .paths("--prove", ProvePaths, "whole-program serializability prover")
+      .flag("--list-criteria", ListCriteria,
+            "print the injectable criterion names")
+      .number("--threads", Opt.Scope.Threads, 1, "audit scope: threads")
+      .number("--max-local", Opt.Scope.MaxLocalSubject, 1,
+              "audit scope: subject local-log cap")
+      .number("--max-local-other", Opt.Scope.MaxLocalOther, 1,
+              "audit scope: other local-log cap")
+      .number("--max-global", Opt.Scope.MaxGlobal, 1,
+              "audit scope: shared-log cap")
+      .number("--max-alphabet", Opt.Scope.MaxAlphabet, 1,
+              "audit scope: probe-alphabet prefix")
+      .number("--max-shapes", Opt.MaxShapes, 1,
+              "audit scope: shapes (default unlimited)")
+      .text("--spec", "KIND", Opt.SpecOnly, "audit one spec only",
+            {"register", "counter"})
+      .flag("--witnesses", Opt.Witnesses, "print every conviction witness")
+      .flag("--help", Help, "print this usage")
+      .flag("-h", Help, nullptr);
+  Opts.parse(argc, argv);
+  if (Help) {
+    Opts.printUsage();
+    return 0;
+  }
+  if (ListCriteria) {
+    for (const std::string &N : injectableCriteria())
+      std::printf("%s\n", N.c_str());
+    return 0;
   }
 
   int Rc = 0;
@@ -470,29 +409,19 @@ int main(int argc, char **argv) {
     Ran = true;
     Rc = std::max(Rc, runIndependence(Opt));
   }
-  if (Lint) {
+  if (!LintPaths.empty()) {
     Ran = true;
-    if (LintPaths.empty()) {
-      std::fprintf(stderr, "ppcheck: --lint needs at least one path\n");
-      return 2;
-    }
     Rc = std::max(Rc, runLint(LintPaths));
   }
   if (Movers) {
     Ran = true;
     Rc = std::max(Rc, runMovers(Opt));
   }
-  if (Prove) {
+  if (!ProvePaths.empty()) {
     Ran = true;
-    if (ProvePaths.empty()) {
-      std::fprintf(stderr, "ppcheck: --prove needs at least one path\n");
-      return 2;
-    }
     Rc = std::max(Rc, runProve(ProvePaths, Opt.Witnesses));
   }
-  if (!Ran) {
-    usage();
-    return 2;
-  }
+  if (!Ran)
+    Opts.fail("nothing to check");
   return Rc;
 }

@@ -17,8 +17,10 @@
 //   --engines a,b,...    restrict to these engines (default: all ten)
 //   --specs a,b,...      restrict to these spec kinds (default: all six
 //                        primitives plus "composite" two-part mixes)
-//   --mutant-pct N       share of runs mutating a past case (default 30)
-//   --repro-dir DIR      where reproducers go (default scenarios/regress)
+//   --mutant-pct N       share of runs mutating a past case, 0 to 100
+//                        (default 30)
+//   --repro-dir DIR      where reproducers go (default scenarios/regress;
+//                        '' writes none)
 //   --no-shrink          report discrepancies unshrunk
 //   --disable-criterion "PUSH criterion (ii)"
 //                        fault injection: skip the named Figure 5
@@ -26,144 +28,57 @@
 //                        minimizes a planted bug)
 //   --quiet              suppress per-run progress lines
 //
-// Exit status 0 iff the campaign found no discrepancy and every engine
-// exercised its whole expected rule set (replay: no discrepancy).
+// Every valued option also takes the --name=VALUE form.  Exit status 0
+// iff the campaign found no discrepancy, built every case, and every
+// engine exercised its whole expected rule set; 1 otherwise; 2 on a usage
+// or input error (an unknown option, name or criterion, or a number that
+// is not a whole decimal in range).  --replay: 0 clean, 1 discrepancy, 2
+// error.
 //
 //===----------------------------------------------------------------------===//
 
+#include "Cli.h"
+#include "analysis/Obligations.h"
 #include "fuzz/Campaign.h"
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 
 using namespace pushpull;
-
-static std::vector<std::string> splitList(const char *Arg) {
-  std::vector<std::string> Out;
-  std::string Cur;
-  for (const char *P = Arg;; ++P) {
-    if (*P == ',' || *P == '\0') {
-      if (!Cur.empty())
-        Out.push_back(Cur);
-      Cur.clear();
-      if (*P == '\0')
-        break;
-    } else {
-      Cur += *P;
-    }
-  }
-  return Out;
-}
-
-static int replay(const char *Path, const DiffConfig &Diff) {
-  std::ifstream In(Path);
-  if (!In) {
-    std::fprintf(stderr, "error: cannot open '%s'\n", Path);
-    return 2;
-  }
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
-  ScenarioParseResult PR = parseScenario(Buf.str());
-  if (!PR.ok()) {
-    std::fprintf(stderr, "%s:%zu: error: %s\n", Path, PR.ErrorLine,
-                 PR.Error.c_str());
-    return 2;
-  }
-  BuiltCase Case = fromScenario(*PR.Parsed);
-  DiffReport R = DiffRunner(Diff).run(Case);
-  std::printf("replay: %s (engine %s, %zu threads)\n%s", Path,
-              Case.Engine.c_str(), Case.Threads.size(), R.toString().c_str());
-  if (!R.Built) {
-    return 2;
-  }
-  std::printf("%s\n", R.discrepancy()      ? "DISCREPANCY"
-                      : R.inconclusive()   ? "INCONCLUSIVE"
-                                           : "OK");
-  return R.discrepancy() ? 1 : 0;
-}
 
 int main(int argc, char **argv) {
   CampaignConfig C;
   C.ReproDir = "scenarios/regress";
-  C.Verbose = true;
+  bool NoShrink = false, Quiet = false;
+  uint64_t MaxSeconds = 0;
+  std::string ReplayPath;
+  std::vector<std::string> SpecKinds = allSpecKinds();
+  SpecKinds.push_back("composite");
+  cli::OptionTable Opts("ppfuzz", "ppfuzz [options]\n"
+                                  "       ppfuzz --replay <scenario-file>");
+  Opts.number("--seed", C.Gen.Seed, 0, "campaign seed (default 1)")
+      .number("--runs", C.Runs, 0, "cases to run (default 500)")
+      .number("--max-seconds", MaxSeconds, 0,
+              "wall-clock budget (default unlimited)")
+      .list("--engines", C.Gen.Engines, "restrict to these engines",
+            allEngineNames())
+      .list("--specs", C.Gen.SpecKinds, "restrict to these spec kinds",
+            SpecKinds)
+      .number("--mutant-pct", C.MutantPct, 0,
+              "share of runs mutating a past case (default 30)", 100)
+      .dir("--repro-dir", C.ReproDir, "where reproducers go ('' for none)")
+      .flag("--no-shrink", NoShrink, "report discrepancies unshrunk")
+      .text("--disable-criterion", "NAME", C.Diff.DisabledCriterion,
+            "skip the named Figure 5 criterion", injectableCriteria())
+      .flag("--quiet", Quiet, "suppress per-run progress lines")
+      .text("--replay", "FILE", ReplayPath, "re-run one reproducer");
+  Opts.parse(argc, argv);
+  C.MaxSeconds = static_cast<double>(MaxSeconds);
+  C.ShrinkFailures = !NoShrink;
+  C.Verbose = !Quiet;
 
-  auto NumArg = [&](int &I, const char *Flag, long &Out) {
-    if (std::strcmp(argv[I], Flag) != 0)
-      return false;
-    if (I + 1 >= argc || (Out = std::strtol(argv[++I], nullptr, 10)) < 0) {
-      std::fprintf(stderr, "error: %s needs a non-negative integer\n", Flag);
-      std::exit(2);
-    }
-    return true;
-  };
-
-  const char *ReplayPath = nullptr;
-  for (int I = 1; I < argc; ++I) {
-    long N = 0;
-    if (std::strcmp(argv[I], "--replay") == 0) {
-      if (I + 1 >= argc) {
-        std::fprintf(stderr, "error: --replay needs a scenario file\n");
-        return 2;
-      }
-      ReplayPath = argv[++I];
-      continue;
-    }
-    if (NumArg(I, "--seed", N)) {
-      C.Gen.Seed = static_cast<uint64_t>(N);
-      continue;
-    }
-    if (NumArg(I, "--runs", N)) {
-      C.Runs = static_cast<uint64_t>(N);
-      continue;
-    }
-    if (NumArg(I, "--max-seconds", N)) {
-      C.MaxSeconds = static_cast<double>(N);
-      continue;
-    }
-    if (NumArg(I, "--mutant-pct", N)) {
-      C.MutantPct = static_cast<unsigned>(N);
-      continue;
-    }
-    if (std::strcmp(argv[I], "--engines") == 0 && I + 1 < argc) {
-      C.Gen.Engines = splitList(argv[++I]);
-      continue;
-    }
-    if (std::strcmp(argv[I], "--specs") == 0 && I + 1 < argc) {
-      C.Gen.SpecKinds = splitList(argv[++I]);
-      continue;
-    }
-    if (std::strcmp(argv[I], "--repro-dir") == 0 && I + 1 < argc) {
-      C.ReproDir = argv[++I];
-      continue;
-    }
-    if (std::strcmp(argv[I], "--disable-criterion") == 0 && I + 1 < argc) {
-      C.Diff.DisabledCriterion = argv[++I];
-      continue;
-    }
-    if (std::strcmp(argv[I], "--no-shrink") == 0) {
-      C.ShrinkFailures = false;
-      continue;
-    }
-    if (std::strcmp(argv[I], "--quiet") == 0) {
-      C.Verbose = false;
-      continue;
-    }
-    std::fprintf(
-        stderr,
-        "usage: ppfuzz [--seed N] [--runs N] [--max-seconds S]\n"
-        "              [--engines a,b,...] [--specs a,b,...]\n"
-        "              [--mutant-pct N] [--repro-dir DIR] [--no-shrink]\n"
-        "              [--disable-criterion NAME] [--quiet]\n"
-        "       ppfuzz --replay <scenario-file>\n");
-    return 2;
-  }
-
-  if (ReplayPath)
-    return replay(ReplayPath, C.Diff);
+  if (!ReplayPath.empty())
+    return cli::replay(ReplayPath, C.Diff);
 
   auto T0 = std::chrono::steady_clock::now();
   CampaignReport R = Campaign(C).run();

@@ -16,7 +16,7 @@
 //   pprun --threads N ...             worker threads for `check explore`
 //   pprun --reduction MODE ...        partial-order reduction for `check
 //                                     explore`: none | sleep | persistent |
-//                                     persistent+symmetry (also =MODE form)
+//                                     persistent+symmetry
 //   pprun --max-pairs N ...           precongruence pair budget per query
 //   pprun --max-reachable N ...       reachable-state-set enumeration bound
 //   pprun --commut-db ...             enable the certified commutativity
@@ -30,25 +30,21 @@
 //                                     `check explore` skips the per-terminal
 //                                     serializability oracle replay
 //
-// Exit status 0 iff the run finished and every check passed; 2 on a usage
-// error (an unknown option, a second scenario file, or a number that is
-// not a whole decimal from 1 to its field's maximum) or an unreadable
-// scenario.
+// Every valued option also takes the --name=VALUE form.  Exit status 0
+// iff the run finished and every check passed, 1 if it did not, 2 on a
+// usage or input error: an unknown option, a second scenario file, a
+// number that is not a whole decimal from 1 to its field's maximum, an
+// unknown reduction mode, or a scenario that cannot be read or parsed.
 //
 //===----------------------------------------------------------------------===//
 
+#include "Cli.h"
 #include "analysis/MoverTable.h"
+#include "sim/Reduction.h"
 #include "sim/Scenario.h"
 
-#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <limits>
 #include <memory>
-#include <sstream>
-#include <type_traits>
 
 using namespace pushpull;
 
@@ -65,138 +61,43 @@ check invariants
 )";
 
 int main(int argc, char **argv) {
-  bool ShowTrace = false;
-  bool ShowCriteria = false;
-  bool ShowStats = false;
-  // Zero means "not given": every numeric option must be at least 1.
+  bool Example = false, ShowTrace = false, ShowCriteria = false,
+       ShowStats = false, UseCommutDB = false, StaticProve = false;
+  // Zero means "not given": every numeric option is at least 1.
   unsigned Threads = 0;
   size_t MaxPairs = 0, MaxReachable = 0;
-  Reduction Reduce = Reduction::None;
-  bool HaveReduce = false;
-  bool UseCommutDB = false, StaticProve = false;
-  const char *Path = nullptr;
-
-  auto ParseReduction = [&](const char *Mode) {
-    if (!reductionFromString(Mode, Reduce)) {
-      std::fprintf(stderr,
-                   "error: --reduction wants none | sleep | persistent |"
-                   " persistent+symmetry, got '%s'\n",
-                   Mode);
-      std::exit(2);
-    }
-    HaveReduce = true;
-  };
-
-  // A whole decimal from 1 to the maximum of \p Out's type: digits only,
-  // no sign, no trailing characters, no overflow.
-  auto NumArg = [&](int &I, const char *Flag, auto &Out) {
-    if (std::strcmp(argv[I], Flag) != 0)
-      return false;
-    using T = std::remove_reference_t<decltype(Out)>;
-    const uint64_t Max = std::numeric_limits<T>::max();
-    const char *Text = I + 1 < argc ? argv[++I] : "";
-    uint64_t V = 0;
-    bool Ok = *Text != '\0';
-    for (const char *P = Text; Ok && *P; ++P) {
-      uint64_t D = static_cast<uint64_t>(*P - '0');
-      Ok = *P >= '0' && *P <= '9' && V <= (Max - D) / 10;
-      V = V * 10 + D;
-    }
-    if (!Ok || V == 0) {
-      std::fprintf(stderr,
-                   "error: %s needs a whole number from 1 to %llu, got "
-                   "'%s'\n",
-                   Flag, static_cast<unsigned long long>(Max), Text);
-      std::exit(2);
-    }
-    Out = static_cast<T>(V);
-    return true;
-  };
-
-  for (int I = 1; I < argc; ++I) {
-    if (std::strcmp(argv[I], "--example") == 0) {
-      std::fputs(ExampleScenario, stdout);
-      return 0;
-    }
-    if (std::strcmp(argv[I], "--trace") == 0) {
-      ShowTrace = true;
-      continue;
-    }
-    if (std::strcmp(argv[I], "--criteria") == 0) {
-      ShowCriteria = true;
-      continue;
-    }
-    if (std::strcmp(argv[I], "--stats") == 0) {
-      ShowStats = true;
-      continue;
-    }
-    if (std::strcmp(argv[I], "--commut-db") == 0) {
-      UseCommutDB = true;
-      continue;
-    }
-    if (std::strcmp(argv[I], "--static-prove") == 0) {
-      StaticProve = true;
-      continue;
-    }
-    if (std::strcmp(argv[I], "--reduction") == 0) {
-      if (I + 1 >= argc) {
-        std::fprintf(stderr, "error: --reduction needs a mode\n");
-        return 2;
-      }
-      ParseReduction(argv[++I]);
-      continue;
-    }
-    if (std::strncmp(argv[I], "--reduction=", 12) == 0) {
-      ParseReduction(argv[I] + 12);
-      continue;
-    }
-    if (NumArg(I, "--threads", Threads) || NumArg(I, "--max-pairs", MaxPairs) ||
-        NumArg(I, "--max-reachable", MaxReachable))
-      continue;
-    if (argv[I][0] == '-' && argv[I][1] != '\0') {
-      std::fprintf(stderr, "error: unknown option '%s'\n", argv[I]);
-      return 2;
-    }
-    if (Path) {
-      std::fprintf(stderr,
-                   "error: more than one scenario file ('%s' and '%s')\n",
-                   Path, argv[I]);
-      return 2;
-    }
-    Path = argv[I];
+  std::string ReduceMode, Path;
+  cli::OptionTable Opts("pprun", "pprun [options] <scenario-file>\n"
+                                 "       pprun --example");
+  Opts.flag("--example", Example, "print a sample scenario and exit")
+      .flag("--trace", ShowTrace, "also print the full rule trace")
+      .flag("--criteria", ShowCriteria, "also print the criteria audit")
+      .flag("--stats", ShowStats, "also print the cache counters")
+      .number("--threads", Threads, 1, "worker threads for check explore")
+      .text("--reduction", "MODE", ReduceMode,
+            "partial-order reduction for check explore", reductionNames())
+      .number("--max-pairs", MaxPairs, 1, "precongruence pair budget")
+      .number("--max-reachable", MaxReachable, 1,
+              "reachable-state-set enumeration bound")
+      .flag("--commut-db", UseCommutDB, "certified commutativity table")
+      .flag("--static-prove", StaticProve, "run the prover first")
+      .operand("scenario file", Path);
+  Opts.parse(argc, argv);
+  if (Example) {
+    std::fputs(ExampleScenario, stdout);
+    return 0;
   }
-  if (!Path) {
-    std::fprintf(stderr,
-                 "usage: pprun [--trace] [--criteria] [--stats]\n"
-                 "             [--threads N] [--reduction MODE]"
-                 " [--max-pairs N]"
-                 " [--max-reachable N]\n"
-                 "             [--commut-db] [--static-prove]"
-                 " <scenario-file>\n"
-                 "       pprun --example   (print a sample scenario)\n");
+  if (Path.empty())
+    Opts.fail("missing scenario file");
+
+  std::unique_ptr<Scenario> Parsed = cli::loadScenario(Path);
+  if (!Parsed)
     return 2;
-  }
-
-  std::ifstream In(Path);
-  if (!In) {
-    std::fprintf(stderr, "error: cannot open '%s'\n", Path);
-    return 2;
-  }
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
-
-  ScenarioParseResult PR = parseScenario(Buf.str());
-  if (!PR.ok()) {
-    std::fprintf(stderr, "%s:%zu: error: %s\n", Path, PR.ErrorLine,
-                 PR.Error.c_str());
-    return 2;
-  }
-
-  Scenario &S = *PR.Parsed;
+  Scenario &S = *Parsed;
   if (Threads > 0)
     S.ExplorerThreads = Threads;
-  if (HaveReduce)
-    S.ExplorerReduction = Reduce;
+  if (!ReduceMode.empty())
+    reductionFromString(ReduceMode, S.ExplorerReduction);
   if (MaxPairs > 0)
     S.Pre.MaxPairs = MaxPairs;
   if (MaxReachable > 0)
@@ -215,7 +116,7 @@ int main(int argc, char **argv) {
       // Not merely ineffective: the certificates only cover runs whose
       // every operation is a probe instance, so enabling the quotient
       // here would be unsound.
-      std::fprintf(stderr, "error: --commut-db: %s\n", Why.c_str());
+      std::fprintf(stderr, "pprun: error: --commut-db: %s\n", Why.c_str());
       return 2;
     }
     S.CommutDB = DB.get();

@@ -35,7 +35,8 @@
 //   --expect-failure       exit 0 iff the run DID fail (for harnesses
 //                          demonstrating fault injection end to end)
 //   --dump-dir DIR         where failing windows write .ppsched files
-//                          (default: current directory)
+//                          (default: current directory; '' writes
+//                          none)
 //   --no-check             disable window checking (pure throughput)
 //   --all-engines          run every engine over the chosen spec
 //   --bench                one-line machine-readable summary per run
@@ -44,54 +45,23 @@
 //   --replay FILE          re-execute a .ppsched reproducer through the
 //                          differential battery
 //
-// Numbers are whole decimals that fit their field.  Exit status: 0
-// clean, 1 failure detected (inverted by --expect-failure), 2
-// usage/build error.  --replay: 0 clean, 1 discrepancy, 2 error.
+// Every valued option also takes the --name=VALUE form; numbers are
+// whole decimals that fit their field, and names must be known engines,
+// spec kinds and criteria.  Exit status: 0 clean, 1 failure detected
+// (inverted by --expect-failure), 2 usage/build error.  --replay: 0
+// clean, 1 discrepancy, 2 error.
 //
 //===----------------------------------------------------------------------===//
 
+#include "Cli.h"
+#include "analysis/Obligations.h"
 #include "fuzz/DiffRunner.h"
 #include "sim/Scenario.h"
 #include "stress/StressRunner.h"
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <limits>
-#include <sstream>
-#include <type_traits>
 
 using namespace pushpull;
-
-static int replay(const char *Path) {
-  std::ifstream In(Path);
-  if (!In) {
-    std::fprintf(stderr, "error: cannot open '%s'\n", Path);
-    return 2;
-  }
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
-  ScenarioParseResult PR = parseScenario(Buf.str());
-  if (!PR.ok()) {
-    std::fprintf(stderr, "%s:%zu: error: %s\n", Path, PR.ErrorLine,
-                 PR.Error.c_str());
-    return 2;
-  }
-  BuiltCase Case = fromScenario(*PR.Parsed);
-  DiffReport R = DiffRunner().run(Case);
-  std::printf("replay: %s (engine %s, %zu threads, %zu picks%s)\n%s", Path,
-              Case.Engine.c_str(), Case.Threads.size(),
-              Case.ReplayPicks.size(),
-              Case.DisabledCriterion.empty()
-                  ? ""
-                  : (", inject " + Case.DisabledCriterion).c_str(),
-              R.toString().c_str());
-  if (!R.Built)
-    return 2;
-  std::printf("%s\n", R.discrepancy() ? "DISCREPANCY" : "OK");
-  return R.discrepancy() ? 1 : 0;
-}
 
 static int runOne(const StressConfig &C, bool Bench) {
   StressOutcome O = StressRunner(C).run();
@@ -118,127 +88,45 @@ static int runOne(const StressConfig &C, bool Bench) {
 int main(int argc, char **argv) {
   StressConfig C;
   C.DumpDir = ".";
-  bool AllEngines = false, Bench = false, ExpectFailure = false;
-  const char *ReplayPath = nullptr;
+  bool AllEngines = false, Bench = false, ExpectFailure = false,
+       NoCheck = false;
+  std::string ReplayPath;
+  cli::OptionTable Opts(
+      "ppstress", "ppstress [options]\n"
+                  "       ppstress --replay <file.ppsched>");
+  Opts.text("--engine", "NAME", C.Engine, "TM engine (default boosting)",
+            allEngineNames())
+      .text("--spec", "KIND", C.SpecKind, "spec kind (default counter)",
+            allSpecKinds())
+      .number("--workers", C.Workers, 0, "OS worker threads (default 4)")
+      .number("--threads-per-worker", C.ThreadsPerWorker, 0,
+              "logical machine threads per worker (default 2)")
+      .number("--rounds", C.Rounds, 0, "workload rounds per worker")
+      .number("--duration-ms", C.DurationMs, 0,
+              "run rounds until the wall clock expires")
+      .number("--think-us", C.ThinkUs, 0, "client think time per commit")
+      .number("--tx", C.TxPerThread, 0, "transactions per thread")
+      .number("--ops", C.OpsPerTx, 0, "operations per transaction")
+      .number("--seed", C.Seed, 0, "master seed (default 1)")
+      .number("--stripes", C.Stripes, 0, "arbiter lock stripes (default 8)")
+      .number("--window", C.WindowCommits, 0, "commits per arbiter window")
+      .text("--inject", "NAME", C.DisabledCriterion,
+            "skip the named Figure 5 criterion", injectableCriteria())
+      .flag("--expect-failure", ExpectFailure, "exit 0 iff the run failed")
+      .dir("--dump-dir", C.DumpDir, "where reproducers go ('' for none)")
+      .flag("--no-check", NoCheck, "disable window checking")
+      .flag("--all-engines", AllEngines, "run every engine")
+      .flag("--bench", Bench, "one-line machine-readable summary")
+      .text("--replay", "FILE", ReplayPath, "re-execute a reproducer");
+  Opts.parse(argc, argv);
+  C.CheckWindows = !NoCheck;
 
-  // A whole decimal that fits \p Out's type: digits only, no sign, no
-  // trailing characters, no overflow.
-  auto NumArg = [&](int &I, const char *Flag, auto &Out) {
-    if (std::strcmp(argv[I], Flag) != 0)
-      return false;
-    using T = std::remove_reference_t<decltype(Out)>;
-    const uint64_t Max = std::numeric_limits<T>::max();
-    const char *Text = I + 1 < argc ? argv[++I] : "";
-    uint64_t V = 0;
-    bool Ok = *Text != '\0';
-    for (const char *P = Text; Ok && *P; ++P) {
-      uint64_t D = static_cast<uint64_t>(*P - '0');
-      Ok = *P >= '0' && *P <= '9' && V <= (Max - D) / 10;
-      V = V * 10 + D;
-    }
-    if (!Ok) {
-      std::fprintf(stderr,
-                   "error: %s needs a whole number from 0 to %llu, got "
-                   "'%s'\n",
-                   Flag, static_cast<unsigned long long>(Max), Text);
-      std::exit(2);
-    }
-    Out = static_cast<T>(V);
-    return true;
-  };
-  auto StrArg = [&](int &I, const char *Flag, const char *&Out) {
-    if (std::strcmp(argv[I], Flag) != 0)
-      return false;
-    if (I + 1 >= argc) {
-      std::fprintf(stderr, "error: %s needs an argument\n", Flag);
-      std::exit(2);
-    }
-    Out = argv[++I];
-    return true;
-  };
-
-  for (int I = 1; I < argc; ++I) {
-    const char *S = nullptr;
-    if (StrArg(I, "--replay", S)) {
-      ReplayPath = S;
-      continue;
-    }
-    if (StrArg(I, "--engine", S)) {
-      C.Engine = S;
-      continue;
-    }
-    if (StrArg(I, "--spec", S)) {
-      C.SpecKind = S;
-      continue;
-    }
-    if (StrArg(I, "--inject", S)) {
-      C.DisabledCriterion = S;
-      continue;
-    }
-    if (StrArg(I, "--dump-dir", S)) {
-      C.DumpDir = S;
-      continue;
-    }
-    if (NumArg(I, "--workers", C.Workers))
-      continue;
-    if (NumArg(I, "--threads-per-worker", C.ThreadsPerWorker))
-      continue;
-    if (NumArg(I, "--rounds", C.Rounds))
-      continue;
-    if (NumArg(I, "--duration-ms", C.DurationMs))
-      continue;
-    if (NumArg(I, "--think-us", C.ThinkUs))
-      continue;
-    if (NumArg(I, "--tx", C.TxPerThread))
-      continue;
-    if (NumArg(I, "--ops", C.OpsPerTx))
-      continue;
-    if (NumArg(I, "--seed", C.Seed))
-      continue;
-    if (NumArg(I, "--stripes", C.Stripes))
-      continue;
-    if (NumArg(I, "--window", C.WindowCommits))
-      continue;
-    if (std::strcmp(argv[I], "--no-check") == 0) {
-      C.CheckWindows = false;
-      continue;
-    }
-    if (std::strcmp(argv[I], "--all-engines") == 0) {
-      AllEngines = true;
-      continue;
-    }
-    if (std::strcmp(argv[I], "--bench") == 0) {
-      Bench = true;
-      continue;
-    }
-    if (std::strcmp(argv[I], "--expect-failure") == 0) {
-      ExpectFailure = true;
-      continue;
-    }
-    std::fprintf(
-        stderr,
-        "usage: ppstress [--engine NAME] [--spec KIND] [--workers N]\n"
-        "                [--threads-per-worker N] [--rounds N]\n"
-        "                [--duration-ms N] [--think-us N] [--tx N] [--ops N]\n"
-        "                [--seed N] [--stripes N] [--window N]\n"
-        "                [--inject NAME] [--expect-failure] [--dump-dir D]\n"
-        "                [--no-check] [--all-engines] [--bench]\n"
-        "       ppstress --replay <file.ppsched>\n");
-    return 2;
-  }
-
-  if (ReplayPath)
-    return replay(ReplayPath);
-  if (C.Workers == 0) {
-    std::fprintf(stderr, "error: --workers must be at least 1\n");
-    return 2;
-  }
-  if (C.Rounds == 0 && C.DurationMs == 0) {
-    std::fprintf(stderr,
-                 "error: --rounds must be at least 1 unless --duration-ms "
-                 "is given\n");
-    return 2;
-  }
+  if (!ReplayPath.empty())
+    return cli::replay(ReplayPath, DiffConfig());
+  if (C.Workers == 0)
+    Opts.fail("--workers must be at least 1");
+  if (C.Rounds == 0 && C.DurationMs == 0)
+    Opts.fail("--rounds must be at least 1 unless --duration-ms is given");
 
   int Rc = 0;
   if (AllEngines) {
