@@ -310,27 +310,21 @@ ProveResult pushpull::proveSerializable(const Scenario &S,
   // Echo the engine's rule surface.  The verdict itself quantifies over
   // every Figure 5 rule, so it holds for any surface; the echo documents
   // which engine the scenario will actually run.
-  std::string Surface = "engine " + S.Engine;
-  {
-    MoverChecker Movers(*S.Spec, S.Movers, S.Pre);
-    PushPullMachine M(*S.Spec, Movers);
-    std::string Err;
-    std::unique_ptr<TMEngine> Eng = makeEngine(S.Engine, S.EngineOpts, M, Err);
-    if (!Eng) {
-      R.Detail = "cannot build engine: " + Err;
-      return R;
-    }
-    uint32_t Mask = Eng->ruleMask();
-    std::string Rules;
-    static const RuleKind Kinds[] = {
-        RuleKind::App,  RuleKind::UnApp,  RuleKind::Push,  RuleKind::UnPush,
-        RuleKind::Pull, RuleKind::UnPull, RuleKind::Commit};
-    for (RuleKind K : Kinds)
-      if (Mask & ruleBit(K))
-        Rules += (Rules.empty() ? "" : ",") + toString(K);
-    Surface += " (rules=" + Rules +
-               (Eng->pullsUncommitted() ? ", pulls-uncommitted" : "") + ")";
+  const EngineSurface *Claims = engineSurface(S.Engine);
+  if (!Claims) {
+    R.Detail = "cannot build engine: unknown engine '" + S.Engine + "'";
+    return R;
   }
+  std::string Rules;
+  static const RuleKind Kinds[] = {
+      RuleKind::App,  RuleKind::UnApp,  RuleKind::Push,  RuleKind::UnPush,
+      RuleKind::Pull, RuleKind::UnPull, RuleKind::Commit};
+  for (RuleKind K : Kinds)
+    if (Claims->RuleMask & ruleBit(K))
+      Rules += (Rules.empty() ? "" : ",") + toString(K);
+  std::string Surface =
+      "engine " + S.Engine + " (rules=" + Rules +
+      (Claims->PullsUncommitted ? ", pulls-uncommitted" : "") + ")";
 
   // Resolve every call of every thread to its probe instances.
   const std::vector<Operation> &Probes = DB.probes();

@@ -4,85 +4,18 @@
 
 #include "check/Serializability.h"
 #include "core/Invariants.h"
-#include "sim/Scheduler.h"
-#include "tm/Engine.h"
 
 using namespace pushpull;
 
-static uint32_t bit(RuleKind K) { return 1u << static_cast<int>(K); }
-
-uint32_t pushpull::expectedRuleMask(const std::string &Engine) {
-  const uint32_t App = bit(RuleKind::App), UnApp = bit(RuleKind::UnApp),
-                 Push = bit(RuleKind::Push), UnPush = bit(RuleKind::UnPush),
-                 Pull = bit(RuleKind::Pull), UnPull = bit(RuleKind::UnPull),
-                 Cmt = bit(RuleKind::Commit);
-  const uint32_t Base = App | Push | Pull | Cmt;
-  const uint32_t All = Base | UnApp | UnPush | UnPull;
-  // Per-engine strategy signatures, confirmed empirically by fixed-seed
-  // campaigns (every listed rule fires for every engine under the smoke
-  // campaign's directed seed corpus; see fuzz_smoke_test).  No single
-  // engine fires all seven rules, but the union over the ten engines
-  // covers the whole rule set:
-  //
-  //  * optimistic/checkpoint/irrevocable push only *validated* effects in
-  //    their commit phase and abort by rewinding unpushed+pulled entries,
-  //    so UNPUSH is unreachable for them;
-  //  * pessimistic never aborts (writers wait instead), so UNAPP/UNPULL
-  //    never fire — but its all-or-nothing commit phase rolls back
-  //    partially-pushed writes with UNPUSH when a later push is rejected;
-  //  * every eager-publication engine (boosting, dependent,
-  //    early-release, htm, htm-word, hybrid) aborts by inverse operations
-  //    and so exercises all seven.
-  if (Engine == "optimistic" || Engine == "checkpoint" ||
-      Engine == "irrevocable")
-    return Base | UnApp | UnPull;
-  if (Engine == "pessimistic")
-    return Base | UnPush;
-  if (Engine == "boosting" || Engine == "dependent" ||
-      Engine == "early-release" || Engine == "htm" || Engine == "htm-word" ||
-      Engine == "hybrid")
-    return All;
-  return 0;
-}
-
-bool pushpull::engineExpectedOpaque(const std::string &Engine) {
-  // The dependent-transaction engine pulls uncommitted effects by design
-  // (that is its whole point); everything else only ever pulls committed
-  // entries and must therefore stay inside the Section 6.1 fragment.
-  return Engine != "dependent";
-}
-
-BuiltCase pushpull::buildCase(const FuzzCase &Case, std::string &Error) {
-  BuiltCase B;
-  B.Spec = Case.buildSpec(Error);
-  B.Engine = Case.Engine;
-  B.EngineOpts = Case.EngineOpts;
-  B.Policy = Case.Policy;
-  B.ScheduleSeed = Case.ScheduleSeed;
-  B.MaxSteps = Case.MaxSteps;
-  B.ChangePoints = Case.ChangePoints;
-  B.Threads = Case.Threads;
-  return B;
-}
-
-BuiltCase pushpull::fromScenario(const Scenario &S) {
-  BuiltCase B;
-  B.Spec = S.Spec;
-  B.Engine = S.Engine;
-  B.EngineOpts = S.EngineOpts;
-  B.Policy = S.Policy;
-  B.ScheduleSeed = S.ScheduleSeed;
-  B.MaxSteps = S.MaxSteps;
-  B.ChangePoints = S.ChangePoints;
-  B.ReplayPicks = S.ReplayPicks;
-  B.DisabledCriterion = S.DisabledCriterion;
-  B.Threads = S.Threads;
-  return B;
+Scenario pushpull::buildCase(const FuzzCase &Case, std::string &Error) {
+  Scenario S = Case.toScenario();
+  S.Spec = composeSpec(S.Specs, Error);
+  return S;
 }
 
 DiffReport DiffRunner::run(const FuzzCase &Case) const {
   std::string Error;
-  BuiltCase B = buildCase(Case, Error);
+  Scenario B = buildCase(Case, Error);
   if (!B.Spec) {
     DiffReport R;
     R.BuildError = Error;
@@ -91,7 +24,7 @@ DiffReport DiffRunner::run(const FuzzCase &Case) const {
   return run(B);
 }
 
-DiffReport DiffRunner::run(const BuiltCase &Case) const {
+DiffReport DiffRunner::run(const Scenario &Case) const {
   DiffReport Report;
   if (!Case.Spec) {
     Report.BuildError = "case has no spec";
@@ -102,17 +35,17 @@ DiffReport DiffRunner::run(const BuiltCase &Case) const {
     return Report;
   }
 
+  // Looked up before the memory counters are read: the first lookup builds
+  // every engine once.
+  const bool ExpectOpaque = engineExpectedOpaque(Case.Engine);
   memstats::Snapshot MemBefore = memstats::read();
-  MoverChecker Movers(*Case.Spec, Config.Movers, Config.Pre);
 
   // (3) Invariants after every rule firing, via the observation hook.  The
   // hook receives the machine that fired — engines probe on *copies* of
   // the machine (optimistic validation dry-runs), and those firings are
   // checked against the copy's own configuration.
   MachineConfig MC;
-  MC.DisabledCriterion = Config.DisabledCriterion.empty()
-                             ? Case.DisabledCriterion
-                             : Config.DisabledCriterion;
+  MC.DisabledCriterion = Config.DisabledCriterion;
   if (Config.CheckInvariantsEachRule) {
     MC.OnRuleApplied = [&Report, this](const PushPullMachine &FM, RuleKind K,
                                        TxId T) {
@@ -135,26 +68,14 @@ DiffReport DiffRunner::run(const BuiltCase &Case) const {
     };
   }
 
-  PushPullMachine M(*Case.Spec, Movers, MC);
-  for (const auto &P : Case.Threads)
-    M.addThread(P);
-
-  std::string EngineError;
-  std::unique_ptr<TMEngine> Engine =
-      makeEngine(Case.Engine, Case.EngineOpts, M, EngineError);
-  if (!Engine) {
-    Report.BuildError = EngineError;
+  EngineRun Run(Case, std::move(MC), Config.Movers, Config.Pre);
+  if (!Run.engine()) {
+    Report.BuildError = Run.error();
     return Report;
   }
   Report.Built = true;
-
-  SchedulerConfig SC;
-  SC.Policy = Case.Policy;
-  SC.Seed = Case.ScheduleSeed;
-  SC.MaxSteps = Case.MaxSteps;
-  SC.ChangePoints = Case.ChangePoints;
-  SC.ReplayPicks = Case.ReplayPicks;
-  Report.Stats = Scheduler(SC).run(*Engine);
+  Report.Stats = Run.run();
+  const PushPullMachine &M = Run.machine();
 
   // (1) Atomic-oracle replay in commit order — the witness Theorem 5.17's
   // proof constructs, so anything but Yes is suspect (No: discrepancy;
@@ -172,10 +93,10 @@ DiffReport DiffRunner::run(const BuiltCase &Case) const {
 
   // (2) Fragment classification against the engine's declared strategy.
   Report.Opacity = classifyTrace(M.trace());
-  Report.OpacityViolated =
-      engineExpectedOpaque(Case.Engine) && !Report.Opacity.InOpaqueFragment;
+  Report.OpacityViolated = ExpectOpaque && !Report.Opacity.InOpaqueFragment;
 
   Report.Caches.Intern = Case.Spec->internStats();
+  const MoverChecker &Movers = Run.movers();
   Report.Caches.MoverMemoHits = Movers.memoHits();
   Report.Caches.MoverMemoMisses = Movers.memoMisses();
   Report.Caches.PrecongruencePairs = Movers.precongruence().pairsVisited();

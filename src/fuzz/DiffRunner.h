@@ -6,8 +6,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Runs one fuzz case and cross-checks it three ways against independent
-/// ground truths:
+/// Runs one scenario — a fuzz case, a `.pp` reproducer or a `.ppsched`
+/// dump, built by EngineRun like every other run — and cross-checks it
+/// three ways against independent ground truths:
 ///
 ///  1. *Atomic-oracle replay* (Theorem 5.17's witness): the committed
 ///     transactions are replayed through the Figure 3 atomic machine in
@@ -28,7 +29,9 @@
 /// Any No from (1), an unexpected fragment exit in (2), or a violation in
 /// (3) is a *discrepancy*: implementation and model disagree.  Reports
 /// carry the run's interning/memoization counters so a discrepancy
-/// implicating the representation layer (PR 1) is directly auditable.
+/// implicating the representation layer is directly auditable.  The
+/// scenario's check lines are ignored: the runner always performs the
+/// full battery.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -60,7 +63,8 @@ struct DiffConfig {
   /// Escalate a commit-order No to an all-orders search (diagnostics).
   bool EscalateToAnyOrder = true;
   /// Test-only fault injection forwarded to MachineConfig: criterion with
-  /// this exact name is skipped (see the shrinker self-test).
+  /// this exact name is skipped (see the shrinker self-test).  Overrides
+  /// the scenario's own `inject` when set.
   std::string DisabledCriterion;
 };
 
@@ -110,50 +114,19 @@ struct DiffReport {
   std::string toString() const;
 };
 
-/// A case with its spec already built (the form replay and the campaign
-/// share; FuzzCase carries the symbolic descriptors, BuiltCase the
-/// constructed objects).
-struct BuiltCase {
-  std::shared_ptr<const SequentialSpec> Spec;
-  std::string Engine;
-  std::map<std::string, std::string> EngineOpts;
-  SchedulePolicy Policy = SchedulePolicy::RandomUniform;
-  uint64_t ScheduleSeed = 1;
-  uint64_t MaxSteps = 30000;
-  unsigned ChangePoints = 3;
-  /// For SchedulePolicy::Replay (`.ppsched` reproducers).
-  std::vector<uint32_t> ReplayPicks;
-  /// Scenario-level fault injection (`inject ...`); the runner applies it
-  /// when DiffConfig::DisabledCriterion is empty.
-  std::string DisabledCriterion;
-  std::vector<std::vector<CodePtr>> Threads;
-};
+/// A fuzz case with its spec built, as buildCase returns it.
+using BuiltCase = Scenario;
 
-/// Build a FuzzCase's spec (Error + null Spec on bad descriptors).
-BuiltCase buildCase(const FuzzCase &Case, std::string &Error);
-
-/// Adapt a parsed scenario (ppfuzz --replay, regress corpus) to a
-/// BuiltCase; the scenario's check directives are ignored — the runner
-/// always performs the full differential battery.
-BuiltCase fromScenario(const Scenario &S);
-
-/// Rules an engine's strategy can ever fire, as a bitmask over RuleKind.
-/// Campaigns assert each engine's fuzzed runs actually exercised its whole
-/// set; the union over all ten engines covers all seven rules.
-uint32_t expectedRuleMask(const std::string &Engine);
-
-/// Must \p Engine stay inside the Section 6.1 opaque fragment?  True for
-/// every engine whose strategy only pulls committed effects; false for
-/// the dependent-transaction engine, which pulls uncommitted effects by
-/// design.
-bool engineExpectedOpaque(const std::string &Engine);
+/// A FuzzCase as a scenario with its spec built (Error + null Spec on bad
+/// descriptors).
+Scenario buildCase(const FuzzCase &Case, std::string &Error);
 
 /// Executes and cross-checks single cases.
 class DiffRunner {
 public:
   explicit DiffRunner(DiffConfig Config = {}) : Config(std::move(Config)) {}
 
-  DiffReport run(const BuiltCase &Case) const;
+  DiffReport run(const Scenario &Case) const;
   DiffReport run(const FuzzCase &Case) const;
 
   const DiffConfig &config() const { return Config; }

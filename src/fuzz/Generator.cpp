@@ -2,10 +2,7 @@
 
 #include "fuzz/Generator.h"
 
-#include "lang/Printer.h"
-#include "sim/Scenario.h"
 #include "sim/Workload.h"
-#include "spec/CompositeSpec.h"
 
 #include <algorithm>
 #include <functional>
@@ -46,66 +43,29 @@ size_t FuzzCase::totalTxs() const {
   return N;
 }
 
-std::string FuzzCase::toScenarioText() const {
-  std::string Out = "# ppfuzz case (replay with: ppfuzz --replay <file>)\n";
-  for (const SpecDesc &D : Specs) {
-    Out += "spec " + D.Kind;
-    for (const auto &[K, V] : D.Opts)
-      Out += " " + K + (V.empty() ? "" : "=" + V);
-    Out += "\n";
-  }
-  Out += "engine " + Engine;
-  for (const auto &[K, V] : EngineOpts)
-    Out += " " + K + (V.empty() ? "" : "=" + V);
-  Out += "\n";
-  const char *PolicyName = Policy == SchedulePolicy::RoundRobin ? "roundrobin"
-                           : Policy == SchedulePolicy::RandomUniform
-                               ? "random"
-                               : "pct";
-  Out += "schedule " + std::string(PolicyName) +
-         " seed=" + std::to_string(ScheduleSeed) +
-         " maxsteps=" + std::to_string(MaxSteps) +
-         " changepoints=" + std::to_string(ChangePoints) + "\n";
-  for (const auto &Txs : Threads) {
-    Out += "thread ";
-    for (size_t I = 0; I < Txs.size(); ++I) {
-      if (I)
-        Out += "; ";
-      Out += printCode(Txs[I]);
-    }
-    Out += "\n";
-  }
+Scenario FuzzCase::toScenario() const {
+  Scenario S;
+  S.Specs = Specs;
+  S.Engine = Engine;
+  S.EngineOpts = EngineOpts;
+  S.Policy = Policy;
+  S.ScheduleSeed = ScheduleSeed;
+  S.MaxSteps = MaxSteps;
+  S.ChangePoints = ChangePoints;
+  S.Threads = Threads;
   // The standard check battery, so reproducers also run under plain pprun.
-  Out += "check serializability\ncheck opacity\ncheck invariants\n";
-  return Out;
+  S.Checks = {"serializability", "opacity", "invariants"};
+  return S;
+}
+
+std::string FuzzCase::toScenarioText() const {
+  return "# ppfuzz case (replay with: ppfuzz --replay <file>)\n" +
+         printScenario(toScenario());
 }
 
 std::shared_ptr<const SequentialSpec>
 FuzzCase::buildSpec(std::string &Error) const {
-  if (Specs.empty()) {
-    Error = "fuzz case declares no spec";
-    return nullptr;
-  }
-  std::vector<std::pair<std::string, std::shared_ptr<const SequentialSpec>>>
-      Parts;
-  for (const SpecDesc &D : Specs) {
-    std::string Name;
-    auto Part = makeSpecPart(D.Kind, D.Opts, Name, Error);
-    if (!Part)
-      return nullptr;
-    for (const auto &[Existing, _] : Parts)
-      if (Existing == Name) {
-        Error = "duplicate spec name '" + Name + "'";
-        return nullptr;
-      }
-    Parts.push_back({Name, std::move(Part)});
-  }
-  if (Parts.size() == 1)
-    return Parts[0].second;
-  auto Composite = std::make_shared<CompositeSpec>();
-  for (auto &[Name, Part] : Parts)
-    Composite->add(Name, std::move(Part));
-  return Composite;
+  return composeSpec(Specs, Error);
 }
 
 Generator::Generator(GeneratorConfig C) : Config(std::move(C)), R(Config.Seed) {
@@ -163,21 +123,11 @@ Generator::makePrograms(const SpecDesc &Desc, unsigned Threads) {
   WC.ReadPct = static_cast<unsigned>(R.range(20, 80));
   WC.Seed = R.next();
 
-  if (const auto *S = dynamic_cast<const MapSpec *>(Part.get()))
-    return genMapWorkload(*S, WC);
-  if (const auto *S = dynamic_cast<const RegisterSpec *>(Part.get()))
-    return genRegisterWorkload(*S, WC);
-  if (const auto *S = dynamic_cast<const SetSpec *>(Part.get()))
-    return genSetWorkload(*S, WC);
-  if (const auto *S = dynamic_cast<const CounterSpec *>(Part.get()))
-    return genCounterWorkload(*S, WC);
-  if (const auto *S = dynamic_cast<const QueueSpec *>(Part.get()))
-    return genQueueWorkload(*S, WC);
-  if (const auto *S = dynamic_cast<const BankSpec *>(Part.get()))
-    return genBankWorkload(*S, WC);
   // An unknown kind has no spec: empty programs, so the case fails to
   // build on its descriptor instead of indexing past them.
-  return std::vector<std::vector<CodePtr>>(Threads);
+  ThreadPrograms P = genWorkload(Part.get(), WC);
+  P.resize(Threads);
+  return P;
 }
 
 FuzzCase Generator::next() {

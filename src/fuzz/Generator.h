@@ -24,7 +24,7 @@
 #define PUSHPULL_FUZZ_GENERATOR_H
 
 #include "lang/Ast.h"
-#include "sim/Scheduler.h"
+#include "sim/Scenario.h"
 #include "support/Rng.h"
 
 #include <map>
@@ -36,16 +36,10 @@ namespace pushpull {
 
 class SequentialSpec;
 
-/// One spec part in scenario-directive form (kind plus key=value options).
-/// Kept symbolic so cases serialize and so the shrinker can shrink domains.
-struct SpecDesc {
-  std::string Kind;
-  std::map<std::string, std::string> Opts;
-};
-
 /// A complete generated test case.
 struct FuzzCase {
-  /// One part, or several composing into a CompositeSpec.
+  /// One part, or several composing into a CompositeSpec.  Kept symbolic
+  /// so cases serialize and so the shrinker can shrink domains.
   std::vector<SpecDesc> Specs;
   std::string Engine = "optimistic";
   std::map<std::string, std::string> EngineOpts;
@@ -60,11 +54,16 @@ struct FuzzCase {
   size_t totalOps() const;
   size_t totalTxs() const;
 
-  /// Render as a pprun/ppfuzz-replayable scenario file.
+  /// The case as a scenario with the standard check battery
+  /// (serializability, opacity, invariants), its spec not yet built.
+  Scenario toScenario() const;
+
+  /// Render as a pprun/ppfuzz-replayable scenario file: a header comment
+  /// and printScenario(toScenario()).
   std::string toScenarioText() const;
 
-  /// Build the composed SequentialSpec from the descriptors.  Returns
-  /// nullptr and sets \p Error on a bad descriptor.
+  /// Build the composed SequentialSpec from the descriptors (composeSpec).
+  /// Returns nullptr and sets \p Error on a bad descriptor.
   std::shared_ptr<const SequentialSpec> buildSpec(std::string &Error) const;
 };
 

@@ -6,6 +6,7 @@
 #include "check/Serializability.h"
 #include "core/Invariants.h"
 #include "lang/Parser.h"
+#include "lang/Printer.h"
 #include "sim/Explorer.h"
 #include "sim/Scheduler.h"
 #include "spec/BankSpec.h"
@@ -221,9 +222,19 @@ constexpr EngineKind EngineKinds[] = {
      }},
 };
 
+/// The schedule policies by name: the parser reads and printScenario
+/// writes these.
+constexpr std::pair<const char *, SchedulePolicy> PolicyNames[] = {
+    {"random", SchedulePolicy::RandomUniform},
+    {"roundrobin", SchedulePolicy::RoundRobin},
+    {"pct", SchedulePolicy::PriorityChangePoints},
+    {"replay", SchedulePolicy::Replay},
+};
+
+constexpr NumKey MaxStepsKey{"maxsteps", 200000, 1, U64Max};
 constexpr KeySet ScheduleKeys{"schedule",
                               {SeedKey,
-                               {"maxsteps", 200000, 1, U64Max},
+                               MaxStepsKey,
                                {"changepoints", 3, 0, MaxChangePoints}}};
 constexpr KeySet ReplayKeys{"schedule",
                             {SeedKey, ScheduleKeys.Nums[1],
@@ -310,6 +321,39 @@ pushpull::makeSpecPart(const std::string &Kind, const Options &Opts,
   return K->Make(Name, V, Error);
 }
 
+std::shared_ptr<const SequentialSpec>
+pushpull::composeSpec(const std::vector<SpecDesc> &Specs, std::string &Error,
+                      size_t *Bad) {
+  if (Bad)
+    *Bad = Specs.size();
+  if (Specs.empty()) {
+    Error = "scenario declares no spec";
+    return nullptr;
+  }
+  std::vector<std::pair<std::string, SpecPtr>> Parts;
+  for (const SpecDesc &D : Specs) {
+    std::string Name;
+    SpecPtr Part = makeSpecPart(D.Kind, D.Opts, Name, Error);
+    if (Part && std::any_of(Parts.begin(), Parts.end(),
+                            [&](const auto &P) { return P.first == Name; })) {
+      Error = "duplicate spec name '" + Name + "'";
+      Part = nullptr;
+    }
+    if (!Part) {
+      if (Bad)
+        *Bad = Parts.size();
+      return nullptr;
+    }
+    Parts.emplace_back(std::move(Name), std::move(Part));
+  }
+  if (Parts.size() == 1)
+    return std::move(Parts[0].second);
+  auto Composite = std::make_shared<CompositeSpec>();
+  for (auto &[Name, Part] : Parts)
+    Composite->add(Name, std::move(Part));
+  return Composite;
+}
+
 std::unique_ptr<TMEngine>
 pushpull::makeEngine(const std::string &Name, const Options &Opts,
                      PushPullMachine &M, std::string &Error) {
@@ -323,6 +367,26 @@ pushpull::makeEngine(const std::string &Name, const Options &Opts,
   if (!readKeys("engine", Name, K->Keys, Opts, V, Text, Error))
     return nullptr;
   return K->Make(M, V, Text);
+}
+
+const EngineSurface *pushpull::engineSurface(const std::string &Name) {
+  static const std::vector<EngineSurface> Surfaces = [] {
+    std::vector<EngineSurface> Out;
+    RegisterSpec Spec("mem", 1, 2);
+    MoverChecker Movers(Spec);
+    for (const EngineKind &K : EngineKinds) {
+      PushPullMachine M(Spec, Movers);
+      M.addThread({call("mem", "read", {Value(0)})});
+      std::string Error;
+      EnginePtr E = makeEngine(K.Keys.Name, {}, M, Error);
+      Out.push_back({E->ruleMask(), E->pullsUncommitted()});
+    }
+    return Out;
+  }();
+  for (size_t I = 0; I < Surfaces.size(); ++I)
+    if (Name == EngineKinds[I].Keys.Name)
+      return &Surfaces[I];
+  return nullptr;
 }
 
 namespace {
@@ -362,10 +426,7 @@ std::vector<CodePtr> pushpull::flattenTransactions(const CodePtr &C,
 ScenarioParseResult pushpull::parseScenario(const std::string &Text) {
   ScenarioParseResult Out;
   auto S = std::make_unique<Scenario>();
-  auto Composite = std::make_shared<CompositeSpec>();
-  std::vector<std::pair<std::string, std::shared_ptr<const SequentialSpec>>>
-      Parts;
-
+  std::vector<size_t> SpecLines;
   size_t EngineLine = 0, PicksLine = 0;
   std::string PicksText;
 
@@ -390,14 +451,8 @@ ScenarioParseResult pushpull::parseScenario(const std::string &Text) {
     if (Directive == "spec") {
       if (Ws.size() < 2)
         return Fail(N + 1, "spec needs a kind");
-      std::string Name, Error;
-      auto Part = makeSpecPart(Ws[1], options(Ws, 2), Name, Error);
-      if (!Part)
-        return Fail(N + 1, Error);
-      for (const auto &[ExistingName, _] : Parts)
-        if (ExistingName == Name)
-          return Fail(N + 1, "duplicate spec name '" + Name + "'");
-      Parts.push_back({Name, std::move(Part)});
+      S->Specs.push_back({Ws[1], options(Ws, 2)});
+      SpecLines.push_back(N + 1);
       continue;
     }
     if (Directive == "engine") {
@@ -411,16 +466,12 @@ ScenarioParseResult pushpull::parseScenario(const std::string &Text) {
     if (Directive == "schedule") {
       if (Ws.size() < 2)
         return Fail(N + 1, "schedule needs a policy");
-      if (Ws[1] == "random")
-        S->Policy = SchedulePolicy::RandomUniform;
-      else if (Ws[1] == "roundrobin")
-        S->Policy = SchedulePolicy::RoundRobin;
-      else if (Ws[1] == "pct")
-        S->Policy = SchedulePolicy::PriorityChangePoints;
-      else if (Ws[1] == "replay")
-        S->Policy = SchedulePolicy::Replay;
-      else
+      const auto *Named = std::find_if(
+          std::begin(PolicyNames), std::end(PolicyNames),
+          [&](const auto &P) { return Ws[1] == P.first; });
+      if (Named == std::end(PolicyNames))
         return Fail(N + 1, "unknown schedule policy '" + Ws[1] + "'");
+      S->Policy = Named->second;
       Options Opts = options(Ws, 2);
       Slots V;
       const std::string *Picks;
@@ -480,8 +531,11 @@ ScenarioParseResult pushpull::parseScenario(const std::string &Text) {
     return Fail(N + 1, "unknown directive '" + Directive + "'");
   }
 
-  if (Parts.empty())
-    return Fail(0, "scenario declares no spec");
+  std::string SpecError;
+  size_t Bad;
+  S->Spec = composeSpec(S->Specs, SpecError, &Bad);
+  if (!S->Spec)
+    return Fail(Bad < SpecLines.size() ? SpecLines[Bad] : 0, SpecError);
   if (S->Threads.empty())
     return Fail(0, "scenario declares no threads");
   // A known engine's options are checked now, not first when the engine
@@ -509,15 +563,48 @@ ScenarioParseResult pushpull::parseScenario(const std::string &Text) {
                                                 S->Threads.size() - 1, P));
       S->ReplayPicks.push_back(static_cast<uint32_t>(T));
     }
-
-  if (Parts.size() == 1) {
-    S->Spec = Parts[0].second;
-  } else {
-    for (auto &[Name, Part] : Parts)
-      Composite->add(Name, std::move(Part));
-    S->Spec = Composite;
-  }
   Out.Parsed = std::move(S);
+  return Out;
+}
+
+std::string pushpull::printScenario(const Scenario &S) {
+  std::string Out;
+  auto Opts = [&Out](const Options &O) {
+    for (const auto &[K, V] : O)
+      Out += " " + K + (V.empty() ? "" : "=" + V);
+    Out += "\n";
+  };
+  for (const SpecDesc &D : S.Specs) {
+    Out += "spec " + D.Kind;
+    Opts(D.Opts);
+  }
+  Out += "engine " + S.Engine;
+  Opts(S.EngineOpts);
+  for (const auto &[Name, Policy] : PolicyNames)
+    if (Policy == S.Policy)
+      Out += std::string("schedule ") + Name;
+  if (S.Policy != SchedulePolicy::Replay) {
+    Out += " seed=" + std::to_string(S.ScheduleSeed) +
+           " maxsteps=" + std::to_string(S.MaxSteps) +
+           " changepoints=" + std::to_string(S.ChangePoints);
+  } else {
+    if (S.MaxSteps != MaxStepsKey.Default)
+      Out += " maxsteps=" + std::to_string(S.MaxSteps);
+    Out += " picks=";
+    for (size_t I = 0; I < S.ReplayPicks.size(); ++I)
+      Out += (I ? "," : "") + std::to_string(S.ReplayPicks[I]);
+  }
+  Out += "\n";
+  if (!S.DisabledCriterion.empty())
+    Out += "inject " + S.DisabledCriterion + "\n";
+  for (const auto &Txs : S.Threads) {
+    Out += "thread ";
+    for (size_t I = 0; I < Txs.size(); ++I)
+      Out += (I ? "; " : "") + printCode(Txs[I]);
+    Out += "\n";
+  }
+  for (const std::string &Check : S.Checks)
+    Out += "check " + Check + "\n";
   return Out;
 }
 
@@ -533,33 +620,47 @@ ScenarioParseResult pushpull::readScenarioFile(const std::string &Path) {
   return parseScenario(Buf.str());
 }
 
+namespace {
+MachineConfig withInject(MachineConfig MC, const Scenario &S) {
+  if (MC.DisabledCriterion.empty())
+    MC.DisabledCriterion = S.DisabledCriterion;
+  return MC;
+}
+} // namespace
+
+EngineRun::EngineRun(const Scenario &S, MachineConfig MC,
+                     const MoverLimits &MoverLim,
+                     const PrecongruenceLimits &Pre)
+    : Source(S), Movers(*S.Spec, MoverLim, Pre),
+      M(*S.Spec, Movers, withInject(std::move(MC), S)) {
+  for (const auto &P : S.Threads)
+    M.addThread(P);
+  Engine = makeEngine(S.Engine, S.EngineOpts, M, Error);
+}
+
+RunStats EngineRun::run() {
+  SchedulerConfig SC;
+  SC.Policy = Source.Policy;
+  SC.Seed = Source.ScheduleSeed;
+  SC.MaxSteps = Source.MaxSteps;
+  SC.ChangePoints = Source.ChangePoints;
+  SC.ReplayPicks = Source.ReplayPicks;
+  return Scheduler(SC).run(*Engine);
+}
+
 ScenarioOutcome pushpull::runScenario(const Scenario &S) {
   ScenarioOutcome Out;
   memstats::Snapshot MemBefore = memstats::read();
-  MoverChecker Movers(*S.Spec, S.Movers, S.Pre);
   MachineConfig MC;
   MC.RecordAudit = true; // Scenario runs are small; keep the discharge log.
-  MC.DisabledCriterion = S.DisabledCriterion;
-  PushPullMachine M(*S.Spec, Movers, MC);
-  for (const auto &P : S.Threads)
-    M.addThread(P);
-
-  std::string EngineError;
-  std::unique_ptr<TMEngine> Engine =
-      makeEngine(S.Engine, S.EngineOpts, M, EngineError);
-  if (!Engine) {
-    Out.CheckResults.push_back("error: " + EngineError);
+  EngineRun Run(S, std::move(MC));
+  if (!Run.engine()) {
+    Out.CheckResults.push_back("error: " + Run.error());
     return Out;
   }
-
-  SchedulerConfig SC;
-  SC.Policy = S.Policy;
-  SC.Seed = S.ScheduleSeed;
-  SC.MaxSteps = S.MaxSteps;
-  SC.ChangePoints = S.ChangePoints;
-  SC.ReplayPicks = S.ReplayPicks;
-  Scheduler Sched(SC);
-  Out.Stats = Sched.run(*Engine);
+  Out.Stats = Run.run();
+  PushPullMachine &M = Run.machine();
+  MoverChecker &Movers = Run.movers();
   Out.Trace = M.trace().toString();
   Out.Audit = M.auditToString();
   Out.CommittedLog = M.global().toString();

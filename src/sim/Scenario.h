@@ -27,6 +27,13 @@
 /// docs/SCENARIOS.md lists the keys each directive takes and their
 /// ranges; any other key is an error.
 ///
+/// A Scenario is the one description of an engine run.  `pprun`, the
+/// fuzzer's cases and reproducers, and the stress runtime's live rounds,
+/// shadow replays and `.ppsched` dumps are all Scenarios: EngineRun is
+/// the one way any of them is built into a machine and an engine, and
+/// printScenario the one way any of them is written back as text, so a
+/// replay cannot be built differently from the run it reproduces.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PUSHPULL_SIM_SCENARIO_H
@@ -47,9 +54,18 @@ namespace pushpull {
 
 class TMEngine;
 
+/// One `spec` line: a kind and its key=value options.  A scenario keeps
+/// its lines, so every run can be printed back as a scenario file.
+struct SpecDesc {
+  std::string Kind;
+  std::map<std::string, std::string> Opts;
+};
+
 /// A parsed scenario, ready to run.
 struct Scenario {
-  /// The composed specification (single part or composite).
+  /// The `spec` lines, in order, and the specification they compose to
+  /// (single part or composite; see composeSpec).
+  std::vector<SpecDesc> Specs;
   std::shared_ptr<const SequentialSpec> Spec;
   /// Engine selector (one of the names above).
   std::string Engine = "optimistic";
@@ -123,16 +139,31 @@ ScenarioParseResult parseScenario(const std::string &Text);
 /// file-level error.
 ScenarioParseResult readScenarioFile(const std::string &Path);
 
+/// Write \p S as scenario text that parses back to it: its spec, engine,
+/// schedule, inject, thread and check lines.  A replay schedule is written
+/// with its picks, and with maxsteps only when it is not the default (a
+/// replay reads no seed or change points).  Every `.pp` and `.ppsched`
+/// the tools write is a header comment plus this text.
+std::string printScenario(const Scenario &S);
+
 /// Build one spec part from a scenario-style kind ("register", "counter",
 /// "set", "map", "queue", "bank") and key=value options.  \p Name receives
 /// the part's object name (the "name" option, defaulting to the kind).
 /// Returns nullptr and sets \p Error for an unknown kind, a key the kind
-/// does not take, or a size that is not a whole number in range.  Shared
-/// by the scenario parser and the fuzzer's case builder.
+/// does not take, or a size that is not a whole number in range.
 std::shared_ptr<const SequentialSpec>
 makeSpecPart(const std::string &Kind,
              const std::map<std::string, std::string> &Opts,
              std::string &Name, std::string &Error);
+
+/// Build the specification \p Specs describe: the one part, or a
+/// CompositeSpec of several with distinct names.  Returns nullptr and sets
+/// \p Error on no lines, a bad line or a duplicate name; \p Bad, when
+/// given, then receives the index of the bad line (Specs.size() when there
+/// is none).  Shared by the parser and the fuzzer's case builder.
+std::shared_ptr<const SequentialSpec>
+composeSpec(const std::vector<SpecDesc> &Specs, std::string &Error,
+            size_t *Bad = nullptr);
 
 /// Build a TM engine by scenario name ("optimistic", "checkpoint",
 /// "boosting", "pessimistic", "irrevocable", "dependent", "early-release",
@@ -140,14 +171,41 @@ makeSpecPart(const std::string &Kind,
 /// key=value options.  Returns nullptr and sets \p Error for an unknown
 /// name, a key the engine does not take, or a value outside its key's
 /// range.  A thread key (`irrevocable`) is not checked against \p M's
-/// threads, since a machine may get its threads after its engine (the
-/// prover builds one with none); parseScenario checks it against the
-/// file.  Never throws.  Shared by runScenario, the fuzzer's DiffRunner,
-/// the stress runtime and the prover.
+/// threads, since a machine may get its threads after its engine;
+/// parseScenario checks it against the file.  Never throws.  Runs build
+/// their engines through EngineRun.
 std::unique_ptr<TMEngine>
 makeEngine(const std::string &Name,
            const std::map<std::string, std::string> &Opts,
            PushPullMachine &M, std::string &Error);
+
+/// What an engine's strategy claims: the rules it can ever fire (an
+/// or-of-ruleBit mask, TMEngine::ruleMask) and whether it pulls
+/// uncommitted effects (TMEngine::pullsUncommitted).
+struct EngineSurface {
+  uint32_t RuleMask = 0;
+  bool PullsUncommitted = false;
+};
+
+/// The surface of engine \p Name, read once from a real instance of every
+/// engine (the claims are per algorithm, not per option); null for an
+/// unknown name.  A lookup allocates nothing and builds no engine.
+const EngineSurface *engineSurface(const std::string &Name);
+
+/// Rules \p Engine claims it can fire, as a bitmask over RuleKind; 0 for
+/// an unknown name.  A fuzz campaign fails unless it fires every one.
+inline uint32_t expectedRuleMask(const std::string &Engine) {
+  const EngineSurface *S = engineSurface(Engine);
+  return S ? S->RuleMask : 0;
+}
+
+/// Must \p Engine stay inside the Section 6.1 opaque fragment?  True
+/// unless it claims to pull uncommitted effects (only the dependent
+/// engine does, by design); true for an unknown name.
+inline bool engineExpectedOpaque(const std::string &Engine) {
+  const EngineSurface *S = engineSurface(Engine);
+  return !S || !S->PullsUncommitted;
+}
 
 /// The ten scenario engine names, in canonical order.
 const std::vector<std::string> &allEngineNames();
@@ -179,6 +237,44 @@ struct ScenarioOutcome {
   CacheStats Caches;
   /// True iff the run finished and every check passed.
   bool Ok = false;
+};
+
+/// One engine run's objects, built from a scenario: a MoverChecker over
+/// its spec, the machine with its threads, and the engine it names.
+/// Every run and every replay is built here — pprun, the fuzzer's
+/// DiffRunner, and the stress worker and the shadow that replays it — so
+/// none can be built differently from another.  \p S must outlive the run.
+class EngineRun {
+public:
+  /// \p MC is the caller's machine settings (trace and audit recording,
+  /// the rule hook); an empty MC.DisabledCriterion takes the scenario's
+  /// `inject`.  \p Movers and \p Pre bound the mover checker.
+  EngineRun(const Scenario &S, MachineConfig MC, const MoverLimits &Movers,
+            const PrecongruenceLimits &Pre);
+  /// With the scenario's own mover/precongruence limits.
+  EngineRun(const Scenario &S, MachineConfig MC)
+      : EngineRun(S, std::move(MC), S.Movers, S.Pre) {}
+  // The machine refers to the mover checker, and the engine to the
+  // machine: a run stays where it was built.
+  EngineRun(const EngineRun &) = delete;
+  EngineRun &operator=(const EngineRun &) = delete;
+
+  /// Null when the engine could not be built; error() says why.
+  TMEngine *engine() const { return Engine.get(); }
+  const std::string &error() const { return Error; }
+  PushPullMachine &machine() { return M; }
+  MoverChecker &movers() { return Movers; }
+
+  /// Drive the engine under the scenario's schedule until quiescence, the
+  /// step budget, or the end of a replay's picks.
+  RunStats run();
+
+private:
+  const Scenario &Source;
+  MoverChecker Movers;
+  PushPullMachine M;
+  std::unique_ptr<TMEngine> Engine;
+  std::string Error;
 };
 
 /// Build the machine and engine, run to quiescence, perform the checks.

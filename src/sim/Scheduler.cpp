@@ -27,41 +27,22 @@ RunStats Scheduler::run(TMEngine &E) {
   }
   int64_t NextDropPriority = -1; // Drops go below every initial priority.
 
+  std::vector<TxId> Runnable;
   while (!M.quiescent() && Stats.SchedulerSteps < Config.MaxSteps) {
-    // Replay consumes the recording verbatim — no runnable filtering, so
-    // a replayed run performs exactly the recorded step sequence.
+    // The threads the policy may pick.  Replay consumes the recording
+    // verbatim — its one candidate is the next recorded pick, done or not,
+    // so a replayed run performs exactly the recorded step sequence — and
+    // ends with the recording or at a pick naming no thread.
+    Runnable.clear();
     if (Config.Policy == SchedulePolicy::Replay) {
-      if (Stats.SchedulerSteps >= Config.ReplayPicks.size())
-        break;
-      TxId Pick = Config.ReplayPicks[Stats.SchedulerSteps];
-      if (Pick >= NumThreads)
-        break;
-      if (Config.CapturePicks)
-        Config.CapturePicks->push_back(static_cast<uint32_t>(Pick));
-      StepStatus S = E.step(Pick);
-      ++Stats.SchedulerSteps;
-      switch (S) {
-      case StepStatus::Blocked:
-        ++Stats.BlockedSteps;
-        break;
-      case StepStatus::Committed:
-        ++Stats.Commits;
-        break;
-      case StepStatus::Aborted:
-        ++Stats.Aborts;
-        break;
-      case StepStatus::Progress:
-      case StepStatus::Finished:
-        break;
-      }
-      continue;
+      if (Stats.SchedulerSteps < Config.ReplayPicks.size() &&
+          Config.ReplayPicks[Stats.SchedulerSteps] < NumThreads)
+        Runnable.push_back(Config.ReplayPicks[Stats.SchedulerSteps]);
+    } else {
+      for (const ThreadState &Th : M.threads())
+        if (!Th.done())
+          Runnable.push_back(Th.Tid);
     }
-
-    // Collect runnable threads.
-    std::vector<TxId> Runnable;
-    for (const ThreadState &Th : M.threads())
-      if (!Th.done())
-        Runnable.push_back(Th.Tid);
     if (Runnable.empty())
       break;
 
@@ -81,7 +62,6 @@ RunStats Scheduler::run(TMEngine &E) {
       Pick = R.pick(Runnable);
       break;
     case SchedulePolicy::PriorityChangePoints: {
-      Pick = Runnable[0];
       for (TxId T : Runnable)
         if (Priority[T] > Priority[Pick])
           Pick = T;
@@ -90,8 +70,8 @@ RunStats Scheduler::run(TMEngine &E) {
           Priority[Pick] = NextDropPriority--; // Drop below everyone.
       break;
     }
-    case SchedulePolicy::Replay: // Handled before the runnable filter.
-      return Stats;
+    case SchedulePolicy::Replay: // The recorded pick.
+      break;
     }
 
     if (Config.CapturePicks)

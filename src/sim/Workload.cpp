@@ -117,3 +117,20 @@ ThreadPrograms pushpull::genQueueWorkload(const QueueSpec &Spec,
     return call(Spec.object(), "enq", {V}, resultVar(X, O));
   });
 }
+
+ThreadPrograms pushpull::genWorkload(const SequentialSpec *Spec,
+                                     const WorkloadConfig &C) {
+  if (const auto *S = dynamic_cast<const MapSpec *>(Spec))
+    return genMapWorkload(*S, C);
+  if (const auto *S = dynamic_cast<const RegisterSpec *>(Spec))
+    return genRegisterWorkload(*S, C);
+  if (const auto *S = dynamic_cast<const SetSpec *>(Spec))
+    return genSetWorkload(*S, C);
+  if (const auto *S = dynamic_cast<const CounterSpec *>(Spec))
+    return genCounterWorkload(*S, C);
+  if (const auto *S = dynamic_cast<const QueueSpec *>(Spec))
+    return genQueueWorkload(*S, C);
+  if (const auto *S = dynamic_cast<const BankSpec *>(Spec))
+    return genBankWorkload(*S, C);
+  return {};
+}

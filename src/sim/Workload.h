@@ -71,6 +71,11 @@ ThreadPrograms genQueueWorkload(const QueueSpec &Spec,
 ThreadPrograms genBankWorkload(const BankSpec &Spec,
                                const WorkloadConfig &C);
 
+/// The mix above for whichever primitive spec \p Spec is.  Empty when
+/// \p Spec is null or not one of the six (a composite, say).
+ThreadPrograms genWorkload(const SequentialSpec *Spec,
+                           const WorkloadConfig &C);
+
 } // namespace pushpull
 
 #endif // PUSHPULL_SIM_WORKLOAD_H

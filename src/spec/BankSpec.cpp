@@ -51,7 +51,8 @@ std::optional<Value> BankSpec::applyOneAccount(Value Balance,
   if (C.Method == "deposit") {
     if (C.Args.size() != 2 || C.Args[1] < 0 || Op.Result)
       return std::nullopt;
-    return std::min(Balance + C.Args[1], CapV);
+    // min(Balance + k, Cap), without forming a sum past the Value range.
+    return C.Args[1] >= CapV - Balance ? CapV : Balance + C.Args[1];
   }
   if (C.Method == "withdraw") {
     if (C.Args.size() != 2 || C.Args[1] < 0 || !Op.Result)

@@ -2,10 +2,8 @@
 
 #include "stress/StressRunner.h"
 
-#include "sim/Scenario.h"
 #include "sim/Workload.h"
 #include "stress/Arbiter.h"
-#include "tm/Engine.h"
 
 #include <atomic>
 #include <chrono>
@@ -83,9 +81,8 @@ pushpull::buildRoundConfig(const StressConfig &C,
                            unsigned Worker, uint32_t Round,
                            std::string &Error) {
   WindowCheckConfig RC;
-  RC.SpecKind = C.SpecKind;
-  RC.SpecOpts = C.SpecOpts;
-  RC.Spec = Spec;
+  RC.Specs.push_back({C.SpecKind, C.SpecOpts});
+  RC.Spec = std::move(Spec);
   RC.Engine = C.Engine;
   RC.EngineOpts = C.EngineOpts;
   RC.DisabledCriterion = C.DisabledCriterion;
@@ -105,20 +102,8 @@ pushpull::buildRoundConfig(const StressConfig &C,
   WC.ReadPct = C.ReadPct;
   WC.Seed = mixSeed(RoundSeed, 0x5eed, 0x10ad);
 
-  const SequentialSpec *S = Spec.get();
-  if (const auto *P = dynamic_cast<const MapSpec *>(S))
-    RC.Threads = genMapWorkload(*P, WC);
-  else if (const auto *P = dynamic_cast<const RegisterSpec *>(S))
-    RC.Threads = genRegisterWorkload(*P, WC);
-  else if (const auto *P = dynamic_cast<const SetSpec *>(S))
-    RC.Threads = genSetWorkload(*P, WC);
-  else if (const auto *P = dynamic_cast<const CounterSpec *>(S))
-    RC.Threads = genCounterWorkload(*P, WC);
-  else if (const auto *P = dynamic_cast<const QueueSpec *>(S))
-    RC.Threads = genQueueWorkload(*P, WC);
-  else if (const auto *P = dynamic_cast<const BankSpec *>(S))
-    RC.Threads = genBankWorkload(*P, WC);
-  else
+  RC.Threads = genWorkload(RC.Spec.get(), WC);
+  if (RC.Threads.empty())
     Error = "no workload mix for spec kind '" + C.SpecKind + "'";
   return RC;
 }
@@ -144,23 +129,19 @@ static StressStats workerLoop(SharedState &S, unsigned W) {
       break;
     }
 
-    MoverChecker Movers(*S.Spec, RC.Movers, RC.Pre);
+    // Built like the shadow that replays it (WindowChecker), from the same
+    // scenario.
     MachineConfig MC;
-    MC.DisabledCriterion = RC.DisabledCriterion;
     MC.RecordTrace = false; // The shadow records; the hot path doesn't.
-    MC.RecordAudit = false;
-    PushPullMachine M(*S.Spec, Movers, MC);
-    for (const auto &P : RC.Threads)
-      M.addThread(P);
-    std::string EngineError;
-    std::unique_ptr<TMEngine> E =
-        makeEngine(RC.Engine, RC.EngineOpts, M, EngineError);
+    EngineRun Run(RC, std::move(MC));
+    TMEngine *E = Run.engine();
     if (!E) {
       std::lock_guard<std::mutex> G(S.ErrorLock);
       S.BuildErrors.push_back("worker " + std::to_string(W) + ": " +
-                              EngineError);
+                              Run.error());
       break;
     }
+    const PushPullMachine &M = Run.machine();
 
     uint64_t Order = 0;
     std::vector<TxId> Runnable;

@@ -113,8 +113,9 @@ struct StressOutcome {
 };
 
 /// Rebuild the deterministic configuration of one (worker, round):
-/// engine seed, workload programs, spec — exactly what the live worker
-/// runs and the checker shadows.  Exposed for tests.
+/// engine seed, workload programs, spec — the scenario the live worker
+/// and the checker's shadow are both built from (EngineRun).  Exposed for
+/// tests.
 WindowCheckConfig buildRoundConfig(const StressConfig &C,
                                    std::shared_ptr<const SequentialSpec> Spec,
                                    unsigned Worker, uint32_t Round,

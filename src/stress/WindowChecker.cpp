@@ -4,9 +4,6 @@
 
 #include "check/Opacity.h"
 #include "check/Serializability.h"
-#include "fuzz/DiffRunner.h"
-#include "lang/Printer.h"
-#include "sim/Scenario.h"
 
 #include <chrono>
 
@@ -18,23 +15,20 @@ WindowChecker::WindowChecker(WindowCheckConfig C, std::string &Error)
     Error = "window checker has no spec";
     return;
   }
-  Movers = std::make_unique<MoverChecker>(*Config.Spec, Config.Movers,
-                                          Config.Pre);
-  MachineConfig MC;
-  // The shadow must *behave* identically to the live machine, so the
-  // fault injection carries over; the trace is recorded because the
+  // The shadow replays the picks feed() records, and each window is
+  // adjudicated for serializability and opacity: the dump says so.
+  Config.Policy = SchedulePolicy::Replay;
+  Config.Checks = {"serializability", "opacity"};
+  // The shadow must *behave* identically to the live machine, so it is
+  // built from the same scenario; the trace is recorded because the
   // opacity classifier reads it (the live machine skips it for speed —
   // recording does not affect behavior).
-  MC.DisabledCriterion = Config.DisabledCriterion;
+  MachineConfig MC;
   MC.RecordTrace = true;
-  MC.RecordAudit = false;
-  Shadow = std::make_unique<PushPullMachine>(*Config.Spec, *Movers, MC);
-  for (const auto &P : Config.Threads)
-    Shadow->addThread(P);
-  std::string EngineError;
-  Engine = makeEngine(Config.Engine, Config.EngineOpts, *Shadow, EngineError);
+  Shadow = std::make_unique<EngineRun>(Config, std::move(MC));
+  Engine = Shadow->engine();
   if (!Engine)
-    Error = "window checker engine: " + EngineError;
+    Error = "window checker engine: " + Shadow->error();
 }
 
 WindowChecker::~WindowChecker() = default;
@@ -43,7 +37,7 @@ void WindowChecker::fail(const std::string &Detail) {
   if (!Failure.empty())
     return;
   Failure = "window " + std::to_string(WindowEpoch) + " (after " +
-            std::to_string(Picks.size()) + " steps): " + Detail;
+            std::to_string(Config.ReplayPicks.size()) + " steps): " + Detail;
   ++Stats.WindowFailures;
 }
 
@@ -60,16 +54,17 @@ bool WindowChecker::feed(const StressRecord &R) {
     WindowOpen = true;
   }
 
-  Picks.push_back(R.Pick);
-  if (R.Pick >= Shadow->threads().size()) {
+  Config.ReplayPicks.push_back(R.Pick);
+  const PushPullMachine &M = Shadow->machine();
+  if (R.Pick >= M.threads().size()) {
     fail("recorded pick names nonexistent thread " + std::to_string(R.Pick));
     return false;
   }
   StepStatus S = Engine->step(R.Pick);
-  const ThreadState &Th = Shadow->thread(R.Pick);
+  const ThreadState &Th = M.thread(R.Pick);
   uint32_t LSize = static_cast<uint32_t>(Th.L.size());
-  uint32_t GSize = static_cast<uint32_t>(Shadow->global().size());
-  uint32_t Commits = static_cast<uint32_t>(Shadow->committed().size());
+  uint32_t GSize = static_cast<uint32_t>(M.global().size());
+  uint32_t Commits = static_cast<uint32_t>(M.committed().size());
   if (static_cast<uint8_t>(S) != R.Status || LSize != R.LSize ||
       GSize != R.GSize || Commits != R.Commits) {
     fail("shadow replay diverged at step " + std::to_string(R.Order) +
@@ -93,14 +88,15 @@ bool WindowChecker::closeWindow() {
   WindowOpen = false;
   ++Stats.Windows;
 
-  uint64_t CommitsNow = Shadow->committed().size();
+  const PushPullMachine &M = Shadow->machine();
+  uint64_t CommitsNow = M.committed().size();
   auto Start = std::chrono::steady_clock::now();
   if (CommitsNow > CheckedCommits) {
     // Atomic-oracle replay of everything committed so far, in commit
     // order — the Theorem 5.17 witness.  The committed projection only
     // grows, so each close re-adjudicates a genuine machine prefix.
     SerializabilityChecker Oracle(*Config.Spec, Config.Atomic, Config.Pre);
-    SerializabilityVerdict V = Oracle.checkCommitOrder(*Shadow);
+    SerializabilityVerdict V = Oracle.checkCommitOrder(M);
     if (V.Serializable == Tri::No)
       fail("atomic oracle: committed prefix not serializable in commit "
            "order — " +
@@ -108,7 +104,7 @@ bool WindowChecker::closeWindow() {
     CheckedCommits = CommitsNow;
   }
   if (Failure.empty() && engineExpectedOpaque(Config.Engine)) {
-    OpacityReport O = classifyTrace(Shadow->trace());
+    OpacityReport O = classifyTrace(M.trace());
     if (!O.InOpaqueFragment)
       fail("opacity: " + std::to_string(O.UncommittedPulls) + "/" +
            std::to_string(O.TotalPulls) +
@@ -131,32 +127,7 @@ std::string WindowChecker::dumpSchedule() const {
       "# or plain pprun <file>)\n";
   if (!Failure.empty())
     Out += "# failure: " + Failure + "\n";
-  Out += "spec " + Config.SpecKind;
-  for (const auto &[K, V] : Config.SpecOpts)
-    Out += " " + K + (V.empty() ? "" : "=" + V);
-  Out += "\nengine " + Config.Engine;
-  for (const auto &[K, V] : Config.EngineOpts)
-    Out += " " + K + (V.empty() ? "" : "=" + V);
-  Out += "\nschedule replay picks=";
-  for (size_t I = 0; I < Picks.size(); ++I) {
-    if (I)
-      Out += ",";
-    Out += std::to_string(Picks[I]);
-  }
-  Out += "\n";
-  if (!Config.DisabledCriterion.empty())
-    Out += "inject " + Config.DisabledCriterion + "\n";
-  for (const auto &Txs : Config.Threads) {
-    Out += "thread ";
-    for (size_t I = 0; I < Txs.size(); ++I) {
-      if (I)
-        Out += "; ";
-      Out += printCode(Txs[I]);
-    }
-    Out += "\n";
-  }
-  Out += "check serializability\ncheck opacity\n";
-  return Out;
+  return Out + printScenario(Config);
 }
 
 void pushpull::stampFingerprint(StressRecord &R, const PushPullMachine &M,

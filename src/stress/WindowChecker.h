@@ -7,9 +7,10 @@
 ///
 /// \file
 /// Validates one stress worker's captured schedule by *shadow replay*: a
-/// clean single-threaded PushPullMachine + engine (same spec, same engine
-/// options, same fault injection) is advanced by exactly the recorded
-/// thread picks, one step per drained StressRecord.  Engines are
+/// clean single-threaded PushPullMachine + engine, built by EngineRun from
+/// the very scenario the live worker was built from (same spec, same
+/// engine options, same fault injection), is advanced by exactly the
+/// recorded thread picks, one step per drained StressRecord.  Engines are
 /// deterministic given their seed and the pick sequence, and each
 /// worker's live machine is thread-confined, so live and shadow must
 /// agree step for step — the checker compares a per-step fingerprint
@@ -22,9 +23,9 @@
 /// shadow state is adjudicated semantically: the atomic oracle of
 /// Theorem 5.17 replays the committed transactions in commit order, and
 /// the rule trace is classified against the Section 6.1 opaque fragment.
-/// A failed window dumps a `.ppsched` reproducer — a pprun scenario with
-/// `schedule replay picks=...` (and `inject ...` when a fault was
-/// planted) that re-executes the exact window deterministically.
+/// A failed window dumps a `.ppsched` reproducer: the round's scenario,
+/// with the picks fed so far as its `schedule replay picks=...`, written
+/// by printScenario.  It re-executes the exact window deterministically.
 ///
 /// Soundness of checking windows (prefixes) rather than only final
 /// states: the oracle's verdict is about the committed projection, which
@@ -39,20 +40,16 @@
 #define PUSHPULL_STRESS_WINDOWCHECKER_H
 
 #include "core/Atomic.h"
-#include "core/Mover.h"
-#include "core/Precongruence.h"
+#include "sim/Scenario.h"
 #include "sim/Stats.h"
 #include "stress/RingTrace.h"
 #include "tm/Engine.h"
 
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 namespace pushpull {
-
-class SequentialSpec;
 
 /// Fill \p R's cross-check fields (pick, status, log sizes, commit count)
 /// from \p M right after thread \p Pick was stepped with result
@@ -61,29 +58,16 @@ class SequentialSpec;
 void stampFingerprint(StressRecord &R, const PushPullMachine &M,
                       uint32_t Pick, StepStatus Status);
 
-/// Everything needed to rebuild one worker-round deterministically.
-struct WindowCheckConfig {
-  /// Symbolic spec descriptor (kind + options), kept so reproducers can
-  /// be rendered as standalone scenario files.
-  std::string SpecKind;
-  std::map<std::string, std::string> SpecOpts;
-  /// The built spec (shared with the live worker; its state table is
-  /// internally synchronized).
-  std::shared_ptr<const SequentialSpec> Spec;
-  std::string Engine = "optimistic";
-  /// Must include the live engine's exact seed — shadow determinism
-  /// depends on it.
-  std::map<std::string, std::string> EngineOpts;
-  /// The worker-round's logical thread programs.
-  std::vector<std::vector<CodePtr>> Threads;
-  /// Fault injection forwarded to both live and shadow machines (the
-  /// shadow must *reproduce* the faulty run; the oracle is the
-  /// independent ground truth that convicts it).
-  std::string DisabledCriterion;
-  /// Resource bounds for the oracle.
+/// Everything needed to rebuild one worker-round deterministically: the
+/// round as a scenario — its one spec line and built spec (shared with
+/// the live worker; its state table is internally synchronized), the
+/// engine with the live engine's exact seed (shadow determinism depends
+/// on it), the round's thread programs, and the fault injection both live
+/// and shadow machines run under (the shadow must *reproduce* the faulty
+/// run; the oracle is the independent ground truth that convicts it) —
+/// plus the oracle's resource bounds.
+struct WindowCheckConfig : Scenario {
   AtomicLimits Atomic{64, 20000};
-  PrecongruenceLimits Pre;
-  MoverLimits Movers;
 };
 
 /// One worker-round's shadow machine plus the windowed validation state.
@@ -111,12 +95,12 @@ public:
   const std::string &failure() const { return Failure; }
 
   /// Every pick fed so far, in order (the `.ppsched` schedule).
-  const std::vector<uint32_t> &picks() const { return Picks; }
+  const std::vector<uint32_t> &picks() const { return Config.ReplayPicks; }
 
-  /// Render the fed history as a standalone `.ppsched` scenario:
-  /// spec/engine/schedule-replay/inject/thread directives plus the
-  /// standard check battery.  Replayable by `ppstress --replay` and by
-  /// plain `pprun`.
+  /// Render the fed history as a standalone `.ppsched` scenario: a header
+  /// comment and printScenario of the round's scenario, which replays the
+  /// picks fed so far and checks serializability and opacity.  Replayable
+  /// by `ppstress --replay` and by plain `pprun`.
   std::string dumpSchedule() const;
 
   /// Windows closed, checker latency, failure counts.
@@ -127,11 +111,10 @@ private:
   void fail(const std::string &Detail);
 
   WindowCheckConfig Config;
-  std::unique_ptr<MoverChecker> Movers;
-  std::unique_ptr<PushPullMachine> Shadow;
-  std::unique_ptr<TMEngine> Engine;
+  std::unique_ptr<EngineRun> Shadow;
+  /// Shadow's engine; null when it could not be built.
+  TMEngine *Engine = nullptr;
 
-  std::vector<uint32_t> Picks;
   std::string Failure;
   /// Epoch of the window currently being filled (first fed record sets
   /// it).

@@ -75,16 +75,7 @@ StepStatus CheckpointTM::step(TxId T) {
 
 StepStatus CheckpointTM::commitPhase(TxId T) {
   // Dry-run validation; on failure note *which* operation failed.
-  size_t FailedAt = LocalLog::npos;
-  {
-    PushPullMachine Probe = *M;
-    for (size_t I : M->thread(T).L.indicesOf(LocalKind::NotPushed)) {
-      if (!Probe.push(T, I).Applied) {
-        FailedAt = I;
-        break;
-      }
-    }
-  }
+  size_t FailedAt = firstRejectedPush(T);
 
   if (FailedAt == LocalLog::npos) {
     for (size_t I : M->thread(T).L.indicesOf(LocalKind::NotPushed)) {

@@ -52,3 +52,11 @@ bool TMEngine::rewindTo(TxId T, size_t KeepEntries) {
 }
 
 bool TMEngine::rewindAll(TxId T) { return rewindTo(T, 0); }
+
+size_t TMEngine::firstRejectedPush(TxId T) const {
+  PushPullMachine Probe = *M;
+  for (size_t I : M->thread(T).L.indicesOf(LocalKind::NotPushed))
+    if (!Probe.push(T, I).Applied)
+      return I;
+  return LocalLog::npos;
+}

@@ -111,6 +111,12 @@ protected:
   /// appropriate backward rule(s).  Returns false on rejection.
   bool popTail(TxId T);
 
+  /// Optimistic validation dry run: on a scratch copy of the machine,
+  /// push every unpushed entry of \p T in APP order.  Returns the local
+  /// index of the first push the copy rejects, or LocalLog::npos when
+  /// every push would apply.  The copy is gone when this returns.
+  size_t firstRejectedPush(TxId T) const;
+
   PushPullMachine *M;
   uint64_t Aborts = 0;
 };

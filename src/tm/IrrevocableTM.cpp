@@ -90,13 +90,9 @@ StepStatus IrrevocableTM::stepOptimistic(TxId T) {
   if (fin(Th.Code)) {
     // Validate against G — including the irrevocable thread's uncommitted
     // eager pushes — then push-all + CMT uninterleaved.
-    {
-      PushPullMachine Probe = *M;
-      for (size_t I : Th.L.indicesOf(LocalKind::NotPushed))
-        if (!Probe.push(T, I).Applied) {
-          abortAndRetry(T);
-          return StepStatus::Aborted;
-        }
+    if (firstRejectedPush(T) != LocalLog::npos) {
+      abortAndRetry(T);
+      return StepStatus::Aborted;
     }
     for (size_t I : Th.L.indicesOf(LocalKind::NotPushed)) {
       [[maybe_unused]] RuleResult R = M->push(T, I);

@@ -62,16 +62,11 @@ StepStatus OptimisticTM::commitPhase(TxId T) {
   // their effects", Sec. 6.2) is a dry run on a scratch copy of the
   // machine, so a failed validation aborts with UNAPP/UNPULL only — an
   // optimistic transaction never needs UNPUSH.
-  {
-    PushPullMachine Probe = *M;
-    for (size_t I : M->thread(T).L.indicesOf(LocalKind::NotPushed)) {
-      if (!Probe.push(T, I).Applied) {
-        // Validation failure: a transaction that committed since our
-        // snapshot conflicts with this operation (PUSH criterion (iii)).
-        abortAndRetry(T);
-        return StepStatus::Aborted;
-      }
-    }
+  if (firstRejectedPush(T) != LocalLog::npos) {
+    // Validation failure: a transaction that committed since our
+    // snapshot conflicts with one of its operations (PUSH criterion (iii)).
+    abortAndRetry(T);
+    return StepStatus::Aborted;
   }
   for (size_t I : M->thread(T).L.indicesOf(LocalKind::NotPushed)) {
     [[maybe_unused]] RuleResult R = M->push(T, I);

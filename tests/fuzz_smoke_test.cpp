@@ -88,7 +88,7 @@ TEST(FuzzSmoke, CasesRoundTripThroughScenarioText) {
 
     ScenarioParseResult PR = parseScenario(F.toScenarioText());
     ASSERT_TRUE(PR.ok()) << PR.Error << "\n" << F.toScenarioText();
-    DiffReport Replayed = Runner.run(fromScenario(*PR.Parsed));
+    DiffReport Replayed = Runner.run(*PR.Parsed);
     ASSERT_TRUE(Replayed.Built) << Replayed.BuildError;
 
     EXPECT_EQ(Direct.Stats.toString(), Replayed.Stats.toString())

@@ -63,7 +63,7 @@ TEST(Regress, EveryScenarioReplaysCleanThroughTheDiffRunner) {
     ScenarioParseResult PR = parseScenario(Buf.str());
     ASSERT_TRUE(PR.ok()) << Path << ": " << PR.Error;
 
-    DiffReport R = DiffRunner().run(fromScenario(*PR.Parsed));
+    DiffReport R = DiffRunner().run(*PR.Parsed);
     ASSERT_TRUE(R.Built) << Path << ": " << R.BuildError;
     EXPECT_FALSE(R.discrepancy()) << Path << "\n" << R.toString();
     EXPECT_TRUE(R.Stats.Quiescent) << Path << "\n" << R.toString();

@@ -4,8 +4,11 @@
 
 #include "analysis/Lint.h"
 #include "analysis/MoverTable.h"
+#include "fuzz/Generator.h"
 #include "lang/Parser.h"
+#include "lang/Printer.h"
 #include "spec/RegisterSpec.h"
+#include "stress/StressRunner.h"
 #include "support/Rng.h"
 
 #include <gtest/gtest.h>
@@ -379,4 +382,129 @@ TEST(ScenarioMutation, ParserAndLinterSurviveByteMutations) {
     ++Linted;
   }
   EXPECT_GT(Linted, 0u);
+}
+
+// -- One printer: round trips through the parser -------------------------------
+
+namespace {
+
+/// The checked-in scenarios, in path order.
+std::vector<std::pair<std::string, std::string>> scenarioFiles() {
+  namespace fs = std::filesystem;
+  std::vector<fs::path> Paths;
+  for (const auto &E : fs::recursive_directory_iterator(PUSHPULL_SCENARIOS_DIR))
+    if (E.is_regular_file() && E.path().extension() == ".pp")
+      Paths.push_back(E.path());
+  std::sort(Paths.begin(), Paths.end());
+  std::vector<std::pair<std::string, std::string>> Out;
+  for (const fs::path &P : Paths) {
+    std::ifstream In(P);
+    std::ostringstream Buf;
+    Buf << In.rdbuf();
+    Out.emplace_back(P.string(), Buf.str());
+  }
+  return Out;
+}
+
+/// \p Text without its leading comment lines.
+std::string afterHeader(const std::string &Text) {
+  size_t At = 0;
+  while (At < Text.size() && Text[At] == '#')
+    At = std::min(Text.find('\n', At), Text.size() - 1) + 1;
+  return Text.substr(At);
+}
+
+/// printScenario of what \p Text parses to ("" when it does not parse).
+std::string reprint(const std::string &Text) {
+  ScenarioParseResult P = parseScenario(Text);
+  EXPECT_TRUE(P.ok()) << P.ErrorLine << ": " << P.Error << "\n" << Text;
+  return P.ok() ? printScenario(*P.Parsed) : "";
+}
+
+/// Every field of \p S that decides its run, written independently of
+/// printScenario: equal dumps are the same run.  A replay reads no seed or
+/// change points.
+std::string runFields(const Scenario &S) {
+  std::ostringstream Out;
+  for (const SpecDesc &D : S.Specs) {
+    Out << "spec " << D.Kind;
+    for (const auto &[K, V] : D.Opts)
+      Out << ' ' << K << '=' << V;
+    Out << '\n';
+  }
+  Out << "engine " << S.Engine;
+  for (const auto &[K, V] : S.EngineOpts)
+    Out << ' ' << K << '=' << V;
+  Out << "\npolicy " << static_cast<int>(S.Policy) << " maxsteps "
+      << S.MaxSteps;
+  if (S.Policy != SchedulePolicy::Replay)
+    Out << " seed " << S.ScheduleSeed << " changepoints " << S.ChangePoints;
+  for (uint32_t P : S.ReplayPicks)
+    Out << ' ' << P;
+  Out << "\ninject " << S.DisabledCriterion << '\n';
+  for (const auto &Txs : S.Threads) {
+    for (const CodePtr &Tx : Txs)
+      Out << printCode(Tx) << " ; ";
+    Out << '\n';
+  }
+  for (const std::string &Check : S.Checks)
+    Out << "check " << Check << '\n';
+  return Out.str();
+}
+
+/// runFields of what \p Text parses to ("" when it does not parse).
+std::string parsedFields(const std::string &Text) {
+  ScenarioParseResult P = parseScenario(Text);
+  return P.ok() ? runFields(*P.Parsed) : "";
+}
+
+} // namespace
+
+// Every `.pp` and `.ppsched` the tools write is a header comment plus
+// printScenario, which writes exactly what parseScenario reads back: the
+// text prints back to itself and describes the same run.
+TEST(ScenarioPrint, OnePrinterRoundTrips) {
+  // Checked-in scenarios: parse, print, re-parse, print the same text,
+  // which is the file's run.
+  std::vector<std::pair<std::string, std::string>> Files = scenarioFiles();
+  ASSERT_FALSE(Files.empty());
+  for (const auto &[Path, Text] : Files) {
+    std::string Once = reprint(Text);
+    EXPECT_FALSE(Once.empty()) << Path;
+    EXPECT_EQ(reprint(Once), Once) << Path;
+    EXPECT_EQ(parsedFields(Once), parsedFields(Text)) << Path;
+  }
+
+  // Generated fuzz cases: the text after the header prints to itself and
+  // is the case's run.
+  GeneratorConfig GC;
+  GC.Seed = 7;
+  Generator Gen(GC);
+  for (int I = 0; I < 500; ++I) {
+    FuzzCase F = Gen.next();
+    std::string Text = afterHeader(F.toScenarioText());
+    ASSERT_EQ(reprint(Text), Text) << "case " << I;
+    ASSERT_EQ(parsedFields(Text), runFields(F.toScenario())) << "case " << I;
+  }
+
+  // A stress dump of an injected fault at one worker: a replay schedule,
+  // printed with its picks, that prints to itself.
+  StressOutcome O;
+  for (uint64_t Seed = 1; Seed <= 4 && O.Dumps.empty(); ++Seed) {
+    StressConfig C;
+    C.Engine = "pessimistic";
+    C.SpecKind = "register";
+    C.Workers = 1;
+    C.Rounds = 4;
+    C.Seed = Seed;
+    C.DisabledCriterion = "PUSH criterion (ii)";
+    O = StressRunner(C).run();
+  }
+  ASSERT_FALSE(O.Dumps.empty()) << "the injected fault was never convicted";
+  for (const std::string &Dump : O.Dumps) {
+    std::string Text = afterHeader(Dump);
+    EXPECT_NE(Text.find("\nschedule replay picks="), std::string::npos)
+        << Text;
+    EXPECT_EQ(reprint(Text), Text);
+  }
 }

@@ -100,13 +100,13 @@ TEST(Shrinker, MinimizesAnInjectedCriterionBug) {
   // still fails under the injection...
   ScenarioParseResult PR = parseScenario(S.Minimized.toScenarioText());
   ASSERT_TRUE(PR.ok()) << PR.Error << "\n" << S.Minimized.toScenarioText();
-  DiffReport Replayed = Buggy.run(fromScenario(*PR.Parsed));
+  DiffReport Replayed = Buggy.run(*PR.Parsed);
   ASSERT_TRUE(Replayed.Built) << Replayed.BuildError;
   EXPECT_TRUE(Replayed.discrepancy()) << Replayed.toString();
 
   // ...and passes clean without it — the failure is the planted bug, not
   // an artifact of the minimized program.
-  DiffReport Clean = DiffRunner().run(fromScenario(*PR.Parsed));
+  DiffReport Clean = DiffRunner().run(*PR.Parsed);
   ASSERT_TRUE(Clean.Built) << Clean.BuildError;
   EXPECT_FALSE(Clean.discrepancy()) << Clean.toString();
 }

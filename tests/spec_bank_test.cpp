@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 using namespace pushpull;
 using testutil::hintDisagreements;
 using testutil::mkOp;
@@ -48,6 +50,10 @@ TEST(BankSpec, DepositClampsAtCap) {
   BankSpec S = spec();
   EXPECT_TRUE(S.allowed({dep(0, 4, 1), bal(0, 4, 2)}));
   EXPECT_TRUE(S.allowed({dep(0, 4, 1), dep(0, 4, 2), bal(0, 4, 3)}));
+  // A deposit as large as a Value holds lands on the cap, not past it.
+  const Value Huge = std::numeric_limits<Value>::max();
+  EXPECT_TRUE(S.allowed({dep(0, Huge, 1), bal(0, 4, 2)}));
+  EXPECT_FALSE(S.allowed({dep(0, Huge, 1), bal(0, -Huge, 2)}));
 }
 
 TEST(BankSpec, TransferMovesFunds) {

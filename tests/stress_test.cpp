@@ -276,7 +276,7 @@ TEST(StressRunner, DumpedScheduleReplaysToTheIdenticalFailureTwice) {
   EXPECT_FALSE(PR.Parsed->ReplayPicks.empty());
   EXPECT_EQ(PR.Parsed->DisabledCriterion, InjectedBug);
 
-  BuiltCase Case = fromScenario(*PR.Parsed);
+  BuiltCase Case = *PR.Parsed;
   DiffReport First = DiffRunner().run(Case);
   ASSERT_TRUE(First.Built) << First.BuildError;
   EXPECT_TRUE(First.discrepancy())
@@ -361,7 +361,7 @@ TEST(StressRunner, MergedCheckerResultsFollowWorkerOrder) {
   // The kept dump replays to the discrepancy its checker reported.
   ScenarioParseResult PR = parseScenario(O.Dumps[0]);
   ASSERT_TRUE(PR.ok()) << PR.Error;
-  DiffReport R = DiffRunner().run(fromScenario(*PR.Parsed));
+  DiffReport R = DiffRunner().run(*PR.Parsed);
   ASSERT_TRUE(R.Built) << R.BuildError;
   EXPECT_TRUE(R.discrepancy()) << R.toString();
   if (O.Failures.front().find("atomic oracle") != std::string::npos)

@@ -181,14 +181,13 @@ int cli::replay(const std::string &Path, const DiffConfig &Diff) {
   std::unique_ptr<Scenario> S = loadScenario(Path);
   if (!S)
     return 2;
-  BuiltCase Case = fromScenario(*S);
-  DiffReport R = DiffRunner(Diff).run(Case);
+  DiffReport R = DiffRunner(Diff).run(*S);
   const std::string &Inject = Diff.DisabledCriterion.empty()
-                                  ? Case.DisabledCriterion
+                                  ? S->DisabledCriterion
                                   : Diff.DisabledCriterion;
   std::printf("replay: %s (engine %s, %zu threads, %zu picks%s)\n%s",
-              Path.c_str(), Case.Engine.c_str(), Case.Threads.size(),
-              Case.ReplayPicks.size(),
+              Path.c_str(), S->Engine.c_str(), S->Threads.size(),
+              S->ReplayPicks.size(),
               Inject.empty() ? "" : (", inject " + Inject).c_str(),
               R.toString().c_str());
   if (!R.Built)

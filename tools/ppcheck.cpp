@@ -51,7 +51,6 @@
 #include "sim/Scenario.h"
 #include "spec/CounterSpec.h"
 #include "spec/RegisterSpec.h"
-#include "tm/Engine.h"
 
 #include <algorithm>
 #include <cstdio>
@@ -79,33 +78,6 @@ std::vector<SpecCase> specLadder(const std::string &Only) {
   if (Only.empty() || Only == "counter")
     Out.push_back({"counter", "spec counter name=c counters=1 mod=2",
                    std::make_shared<CounterSpec>("c", 1, 2)});
-  return Out;
-}
-
-/// The effective rule surface of one scenario engine, read off a real
-/// engine instance so the audit covers what actually ships.
-struct EngineSurface {
-  std::string Name;
-  uint32_t RuleMask = 0;
-  bool PullsUncommitted = false;
-};
-
-std::vector<EngineSurface> engineSurfaces() {
-  std::vector<EngineSurface> Out;
-  RegisterSpec Spec("mem", 1, 2);
-  MoverChecker Movers(Spec);
-  for (const std::string &Name : allEngineNames()) {
-    PushPullMachine M(Spec, Movers);
-    M.addThread({call("mem", "read", {Value(0)})});
-    std::string Error;
-    std::unique_ptr<TMEngine> E = makeEngine(Name, {}, M, Error);
-    if (!E) {
-      std::fprintf(stderr, "ppcheck: cannot instantiate engine %s: %s\n",
-                   Name.c_str(), Error.c_str());
-      continue;
-    }
-    Out.push_back({Name, E->ruleMask(), E->pullsUncommitted()});
-  }
   return Out;
 }
 
@@ -156,10 +128,11 @@ int runEngineAudits(const Options &Opt, const std::string &OnlyEngine) {
   // Group engines by effective surface: the machine under audit is
   // engine-independent, so identical surfaces yield identical verdicts.
   std::map<std::pair<uint32_t, bool>, std::vector<std::string>> Groups;
-  for (const EngineSurface &S : engineSurfaces()) {
-    if (!OnlyEngine.empty() && S.Name != OnlyEngine)
+  for (const std::string &Name : allEngineNames()) {
+    if (!OnlyEngine.empty() && Name != OnlyEngine)
       continue;
-    Groups[{S.RuleMask, S.PullsUncommitted}].push_back(S.Name);
+    const EngineSurface &S = *engineSurface(Name);
+    Groups[{S.RuleMask, S.PullsUncommitted}].push_back(Name);
   }
   if (Groups.empty()) {
     std::fprintf(stderr, "ppcheck: unknown engine '%s'\n",
