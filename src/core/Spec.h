@@ -293,7 +293,9 @@ public:
   /// Optional algebraic mover hint for "\p A can move to the left of \p B"
   /// (Definition 4.1).  Tri::Unknown means "no opinion; fall back to the
   /// semantic check".  Hints must be *sound*: tests cross-validate them
-  /// against the semantic decision procedure.
+  /// against the semantic decision procedure.  The keyed specs share one
+  /// hint (spec/KeyedSpec.h) that runs the same per-key step as their
+  /// successors; the default has no opinion.
   virtual Tri leftMoverHint(const Operation &A, const Operation &B) const;
 
   /// The method surface of this specification, for static checking.  The

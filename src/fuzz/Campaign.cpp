@@ -179,23 +179,7 @@ void Campaign::runCase(const FuzzCase &Case, CampaignReport &Report) {
     Cov.Aborts += D.Stats.Aborts;
     for (int K = 0; K < 7; ++K)
       Cov.RuleCounts[K] += D.Stats.RuleCounts[K];
-    Report.Caches.Intern.StatesInterned += D.Caches.Intern.StatesInterned;
-    Report.Caches.Intern.StateSetsInterned +=
-        D.Caches.Intern.StateSetsInterned;
-    Report.Caches.Intern.OpKeysInterned += D.Caches.Intern.OpKeysInterned;
-    Report.Caches.Intern.TransitionMemoHits +=
-        D.Caches.Intern.TransitionMemoHits;
-    Report.Caches.Intern.TransitionMemoMisses +=
-        D.Caches.Intern.TransitionMemoMisses;
-    Report.Caches.MoverMemoHits += D.Caches.MoverMemoHits;
-    Report.Caches.MoverMemoMisses += D.Caches.MoverMemoMisses;
-    Report.Caches.PrecongruencePairs += D.Caches.PrecongruencePairs;
-    Report.Caches.ReachableSets += D.Caches.ReachableSets;
-    Report.Caches.Memory.MachineCopies += D.Caches.Memory.MachineCopies;
-    Report.Caches.Memory.ChunkShares += D.Caches.Memory.ChunkShares;
-    Report.Caches.Memory.DeepCopies += D.Caches.Memory.DeepCopies;
-    Report.Caches.Memory.SnapshotBytes += D.Caches.Memory.SnapshotBytes;
-    Report.Caches.Memory.ArenaBytes += D.Caches.Memory.ArenaBytes;
+    Report.Caches.absorb(D.Caches);
     if (!D.Stats.Quiescent)
       ++Report.NotQuiescent;
   } else {

@@ -95,6 +95,31 @@ std::string StressStats::toString() const {
   return Out;
 }
 
+void CacheStats::absorb(const CacheStats &R) {
+  Intern.StatesInterned += R.Intern.StatesInterned;
+  Intern.StateSetsInterned += R.Intern.StateSetsInterned;
+  Intern.OpKeysInterned += R.Intern.OpKeysInterned;
+  Intern.TransitionMemoHits += R.Intern.TransitionMemoHits;
+  Intern.TransitionMemoMisses += R.Intern.TransitionMemoMisses;
+  MoverMemoHits += R.MoverMemoHits;
+  MoverMemoMisses += R.MoverMemoMisses;
+  PrecongruencePairs += R.PrecongruencePairs;
+  ReachableSets += R.ReachableSets;
+  ExplorerFiringsPruned += R.ExplorerFiringsPruned;
+  ExplorerPersistentCuts += R.ExplorerPersistentCuts;
+  ExplorerSymmetryHits += R.ExplorerSymmetryHits;
+  CommutTableHits += R.CommutTableHits;
+  CommutTableMisses += R.CommutTableMisses;
+  CertChecks += R.CertChecks;
+  ProvedPrograms += R.ProvedPrograms;
+  OracleSkips += R.OracleSkips;
+  Memory.MachineCopies += R.Memory.MachineCopies;
+  Memory.ChunkShares += R.Memory.ChunkShares;
+  Memory.DeepCopies += R.Memory.DeepCopies;
+  Memory.SnapshotBytes += R.Memory.SnapshotBytes;
+  Memory.ArenaBytes += R.Memory.ArenaBytes;
+}
+
 static std::string percent(double Rate) {
   return std::to_string(static_cast<int>(Rate * 100.0 + 0.5)) + "%";
 }

@@ -146,6 +146,10 @@ struct CacheStats {
                  : 0.0;
   }
 
+  /// Add one run's counters into the total.  The reduction ratio is a
+  /// fraction of one explorer run, so it is not summed.
+  void absorb(const CacheStats &R);
+
   /// Multi-line "  key: value" rendering for pprun --stats.
   std::string toString() const;
 };

@@ -29,50 +29,36 @@
 #ifndef PUSHPULL_SPEC_BANKSPEC_H
 #define PUSHPULL_SPEC_BANKSPEC_H
 
-#include "core/Spec.h"
+#include "spec/KeyedSpec.h"
 
 namespace pushpull {
 
 /// \p NumAccounts accounts with balances in [0, Cap].
-class BankSpec : public SequentialSpec {
+class BankSpec : public KeyedSpec {
 public:
   BankSpec(std::string Object, unsigned NumAccounts, unsigned Cap,
            unsigned InitialBalance = 0);
 
   std::string name() const override;
-  std::vector<State> initialStates() const override;
-  std::vector<State> successors(const State &S,
-                                const Operation &Op) const override;
-  std::vector<Completion> completions(const State &S,
-                                      const ResolvedCall &Call)
-      const override;
   std::vector<Operation> probeOps() const override;
   std::vector<MethodSig> methods() const override;
 
-  /// Hints: different-account single-account ops commute; transfers are
-  /// left to the semantic engine (they touch two accounts and their
-  /// success is state-dependent); same-account pairs are decided exactly
-  /// by per-account simulation when neither side is a transfer.
+  /// A transfer touches two accounts, so `step` cannot run it: its
+  /// successors are computed here, and its hint stays Unknown (left to the
+  /// semantic check).  Every other method is keyed on its account.
+  std::vector<State> successors(const State &S,
+                                const Operation &Op) const override;
   Tri leftMoverHint(const Operation &A, const Operation &B) const override;
 
-  const std::string &object() const { return Object; }
-  unsigned numAccounts() const { return NumAccounts; }
+  unsigned numAccounts() const { return numKeys(); }
   unsigned cap() const { return Cap; }
 
 private:
-  std::vector<Value> decode(const State &S) const;
-  State encode(const std::vector<Value> &B) const;
-  bool validAccount(Value A) const;
-  bool touchesOneAccount(const Operation &Op) const;
-  /// Per-account transition for the single-account methods; nullopt when
-  /// disallowed (result contradiction).
-  std::optional<Value> applyOneAccount(Value Balance,
-                                       const Operation &Op) const;
+  std::optional<Value> step(Value Cur, const Operation &Op) const override;
+  std::vector<Completion> results(Value Cur,
+                                  const ResolvedCall &Call) const override;
 
-  std::string Object;
-  unsigned NumAccounts;
   unsigned Cap;
-  unsigned InitialBalance;
 };
 
 } // namespace pushpull

@@ -2,114 +2,61 @@
 
 #include "spec/CounterSpec.h"
 
-#include "support/Str.h"
-
-#include <cassert>
-
 using namespace pushpull;
 
 CounterSpec::CounterSpec(std::string Object, unsigned NumCounters,
                          unsigned Modulus)
-    : Object(std::move(Object)), NumCounters(NumCounters), Modulus(Modulus) {
-  assert(NumCounters > 0 && Modulus > 0 && "degenerate counter bank");
-}
+    : KeyedSpec(std::move(Object), NumCounters, 0,
+                static_cast<Value>(Modulus) - 1, 0),
+      Modulus(Modulus) {}
 
 std::string CounterSpec::name() const {
-  return "counters(" + Object + ",n=" + std::to_string(NumCounters) +
+  return "counters(" + object() + ",n=" + std::to_string(numCounters()) +
          ",mod=" + std::to_string(Modulus) + ")";
 }
 
-std::vector<Value> CounterSpec::decode(const State &S) const {
-  std::vector<Value> Out;
-  for (const std::string &Part : splitOn(S, ','))
-    Out.push_back(std::stoll(Part));
-  assert(Out.size() == NumCounters && "malformed counter state");
-  return Out;
-}
-
-State CounterSpec::encode(const std::vector<Value> &Cs) const {
-  std::vector<std::string> Parts;
-  for (Value V : Cs)
-    Parts.push_back(std::to_string(V));
-  return join(Parts, ",");
-}
-
-bool CounterSpec::validIdx(Value I) const {
-  return I >= 0 && I < static_cast<Value>(NumCounters);
-}
-
-std::vector<State> CounterSpec::initialStates() const {
-  return {encode(std::vector<Value>(NumCounters, 0))};
-}
-
-std::vector<State> CounterSpec::successors(const State &S,
-                                           const Operation &Op) const {
-  if (Op.Call.Object != Object)
-    return {};
+std::optional<Value> CounterSpec::step(Value Cur, const Operation &Op) const {
   const ResolvedCall &C = Op.Call;
-  std::vector<Value> Cs = decode(S);
   Value Mod = static_cast<Value>(Modulus);
-
-  // Blind updates: no observable result, hence genuinely commutative.
-  if (C.Method == "inc" || C.Method == "dec") {
-    if (C.Args.size() != 1 || !validIdx(C.Args[0]) || Op.Result)
-      return {};
-    Value Delta = C.Method == "inc" ? 1 : Mod - 1;
-    Cs[C.Args[0]] = (Cs[C.Args[0]] + Delta) % Mod;
-    return {encode(Cs)};
-  }
-  if (C.Method == "add") {
-    if (C.Args.size() != 2 || !validIdx(C.Args[0]) || Op.Result)
-      return {};
-    Value Delta = ((C.Args[1] % Mod) + Mod) % Mod;
-    Cs[C.Args[0]] = (Cs[C.Args[0]] + Delta) % Mod;
-    return {encode(Cs)};
-  }
   if (C.Method == "read") {
-    if (C.Args.size() != 1 || !validIdx(C.Args[0]))
-      return {};
-    if (!Op.Result || *Op.Result != Cs[C.Args[0]])
-      return {};
-    return {S};
+    if (C.Args.size() == 1 && Op.Result == Cur)
+      return Cur;
+    return std::nullopt;
   }
-  return {};
+  // Blind updates: no observable result, hence genuinely commutative.
+  if (Op.Result)
+    return std::nullopt;
+  if ((C.Method == "inc" || C.Method == "dec") && C.Args.size() == 1)
+    return (Cur + (C.Method == "inc" ? 1 : Mod - 1)) % Mod;
+  if (C.Method == "add" && C.Args.size() == 2)
+    return (Cur + ((C.Args[1] % Mod) + Mod) % Mod) % Mod;
+  return std::nullopt;
 }
 
-std::vector<Completion>
-CounterSpec::completions(const State &S, const ResolvedCall &Call) const {
-  if (Call.Object != Object)
-    return {};
-  if (Call.Method == "inc" || Call.Method == "dec") {
-    if (Call.Args.size() != 1 || !validIdx(Call.Args[0]))
-      return {};
+std::vector<Completion> CounterSpec::results(Value Cur,
+                                             const ResolvedCall &Call) const {
+  if ((Call.Method == "inc" || Call.Method == "dec") && Call.Args.size() == 1)
     return {Completion{std::nullopt}};
-  }
-  if (Call.Method == "add") {
-    if (Call.Args.size() != 2 || !validIdx(Call.Args[0]))
-      return {};
+  if (Call.Method == "add" && Call.Args.size() == 2)
     return {Completion{std::nullopt}};
-  }
-  if (Call.Method == "read") {
-    if (Call.Args.size() != 1 || !validIdx(Call.Args[0]))
-      return {};
-    return {Completion{decode(S)[Call.Args[0]]}};
-  }
+  if (Call.Method == "read" && Call.Args.size() == 1)
+    return {Completion{Cur}};
   return {};
 }
 
 std::vector<Operation> CounterSpec::probeOps() const {
   std::vector<Operation> Out;
-  for (unsigned I = 0; I < NumCounters; ++I) {
+  for (unsigned I = 0; I < numCounters(); ++I) {
     Value Idx = static_cast<Value>(I);
     Operation Inc;
-    Inc.Call = {Object, "inc", {Idx}};
+    Inc.Call = {object(), "inc", {Idx}};
     Out.push_back(Inc);
     Operation Dec;
-    Dec.Call = {Object, "dec", {Idx}};
+    Dec.Call = {object(), "dec", {Idx}};
     Out.push_back(Dec);
     for (unsigned V = 0; V < Modulus; ++V) {
       Operation Read;
-      Read.Call = {Object, "read", {Idx}};
+      Read.Call = {object(), "read", {Idx}};
       Read.Result = static_cast<Value>(V);
       Out.push_back(Read);
     }
@@ -117,66 +64,9 @@ std::vector<Operation> CounterSpec::probeOps() const {
   return Out;
 }
 
-static bool isBlindUpdate(const Operation &Op) {
-  return Op.Call.Method == "inc" || Op.Call.Method == "dec" ||
-         Op.Call.Method == "add";
-}
-
-/// Apply \p Op to a single counter with value \p Cur (mod \p Mod).
-static std::optional<Value> applyOneCounter(Value Cur, const Operation &Op,
-                                            Value Mod) {
-  const std::string &Mth = Op.Call.Method;
-  if (Mth == "inc")
-    return (Cur + 1) % Mod;
-  if (Mth == "dec")
-    return (Cur + Mod - 1) % Mod;
-  if (Mth == "add" && Op.Call.Args.size() == 2)
-    return (Cur + ((Op.Call.Args[1] % Mod) + Mod) % Mod) % Mod;
-  if (Mth == "read") {
-    if (!Op.Result || *Op.Result != Cur)
-      return std::nullopt;
-    return Cur;
-  }
-  return std::nullopt;
-}
-
-Tri CounterSpec::leftMoverHint(const Operation &A, const Operation &B) const {
-  if (A.Call.Object != B.Call.Object)
-    return Tri::Yes;
-  if (A.Call.Object != Object)
-    return Tri::Unknown;
-  if (A.Call.Args.empty() || B.Call.Args.empty())
-    return Tri::Unknown;
-  if (A.Call.Args[0] != B.Call.Args[0])
-    return Tri::Yes; // Different counters commute.
-  if (isBlindUpdate(A) && isBlindUpdate(B))
-    return Tri::Yes; // Modular addition is commutative.
-  if (!validIdx(A.Call.Args[0]))
-    return Tri::Unknown;
-
-  // Same counter with a read involved: decide exactly over the counter's
-  // full (reachable, observable) value ring.
-  Value Mod = static_cast<Value>(Modulus);
-  for (Value Cur = 0; Cur < Mod; ++Cur) {
-    auto S1 = applyOneCounter(Cur, A, Mod);
-    if (!S1)
-      continue;
-    auto S2 = applyOneCounter(*S1, B, Mod);
-    if (!S2)
-      continue; // l.A.B not allowed here: vacuous.
-    auto T1 = applyOneCounter(Cur, B, Mod);
-    if (!T1)
-      return Tri::No;
-    auto T2 = applyOneCounter(*T1, A, Mod);
-    if (!T2 || *T2 != *S2)
-      return Tri::No;
-  }
-  return Tri::Yes;
-}
-
 std::vector<MethodSig> CounterSpec::methods() const {
-  return {{Object, "inc", 1, false},
-          {Object, "dec", 1, false},
-          {Object, "add", 2, false},
-          {Object, "read", 1, true}};
+  return {{object(), "inc", 1, false},
+          {object(), "dec", 1, false},
+          {object(), "add", 2, false},
+          {object(), "read", 1, true}};
 }

@@ -9,56 +9,41 @@
 /// Counters with modular arithmetic — the "HTM int size, x, y" variables
 /// of the Section 7 example.  Methods:
 ///
-///   inc(i)     -> new value       dec(i) -> new value
-///   add(i, k)  -> new value       read(i) -> current value
+///   inc(i)     -> no result       dec(i) -> no result
+///   add(i, k)  -> no result       read(i) -> current value
 ///
-/// Increments on the same counter commute with each other (their hints say
-/// so algebraically) but not with reads — the classic boosting example.
-/// Arithmetic is modulo a configured modulus so the state space stays
-/// finite and the coinductive checks stay exact.
+/// Updates are blind (they return nothing), so updates of one counter
+/// commute with each other but not with reads — the classic boosting
+/// example; the keyed hint finds both by simulation.  Arithmetic is modulo
+/// a configured modulus so the state space stays finite and the
+/// coinductive checks stay exact.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef PUSHPULL_SPEC_COUNTERSPEC_H
 #define PUSHPULL_SPEC_COUNTERSPEC_H
 
-#include "core/Spec.h"
+#include "spec/KeyedSpec.h"
 
 namespace pushpull {
 
 /// \p NumCounters counters over Z_Modulus.
-class CounterSpec : public SequentialSpec {
+class CounterSpec : public KeyedSpec {
 public:
   CounterSpec(std::string Object, unsigned NumCounters, unsigned Modulus);
 
   std::string name() const override;
-  std::vector<State> initialStates() const override;
-  std::vector<State> successors(const State &S,
-                                const Operation &Op) const override;
-  std::vector<Completion> completions(const State &S,
-                                      const ResolvedCall &Call)
-      const override;
   std::vector<Operation> probeOps() const override;
   std::vector<MethodSig> methods() const override;
 
-  /// Hints: different objects/counters commute; inc/dec/add on the same
-  /// counter commute with each other only when their *results* are not
-  /// observable... which they are (they return the new value), so
-  /// same-counter pairs go to the semantic check.  See the `blindAdd`
-  /// method for the genuinely commutative variant.
-  Tri leftMoverHint(const Operation &A, const Operation &B) const override;
-
-  const std::string &object() const { return Object; }
-  unsigned numCounters() const { return NumCounters; }
+  unsigned numCounters() const { return numKeys(); }
   unsigned modulus() const { return Modulus; }
 
 private:
-  std::vector<Value> decode(const State &S) const;
-  State encode(const std::vector<Value> &Cs) const;
-  bool validIdx(Value I) const;
+  std::optional<Value> step(Value Cur, const Operation &Op) const override;
+  std::vector<Completion> results(Value Cur,
+                                  const ResolvedCall &Call) const override;
 
-  std::string Object;
-  unsigned NumCounters;
   unsigned Modulus;
 };
 

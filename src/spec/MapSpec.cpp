@@ -2,113 +2,53 @@
 
 #include "spec/MapSpec.h"
 
-#include "support/Str.h"
-
-#include <cassert>
-
 using namespace pushpull;
 
-// State encoding: comma-joined per-key values, Absent rendered as -1.
-
 MapSpec::MapSpec(std::string Object, unsigned NumKeys, unsigned NumVals)
-    : Object(std::move(Object)), NumKeys(NumKeys), NumVals(NumVals) {
-  assert(NumKeys > 0 && NumVals > 0 && "degenerate map");
-}
+    : KeyedSpec(std::move(Object), NumKeys, Absent,
+                static_cast<Value>(NumVals) - 1, Absent),
+      NumVals(NumVals) {}
 
 std::string MapSpec::name() const {
-  return "map(" + Object + ",k=" + std::to_string(NumKeys) +
+  return "map(" + object() + ",k=" + std::to_string(numKeys()) +
          ",v=" + std::to_string(NumVals) + ")";
 }
 
-std::vector<Value> MapSpec::decode(const State &S) const {
-  std::vector<Value> Out;
-  for (const std::string &Part : splitOn(S, ','))
-    Out.push_back(std::stoll(Part));
-  assert(Out.size() == NumKeys && "malformed map state");
-  return Out;
-}
-
-State MapSpec::encode(const std::vector<Value> &M) const {
-  std::vector<std::string> Parts;
-  for (Value V : M)
-    Parts.push_back(std::to_string(V));
-  return join(Parts, ",");
-}
-
-bool MapSpec::validKey(Value K) const {
-  return K >= 0 && K < static_cast<Value>(NumKeys);
-}
-
-bool MapSpec::validVal(Value V) const {
-  return V >= 0 && V < static_cast<Value>(NumVals);
-}
-
-std::vector<State> MapSpec::initialStates() const {
-  return {encode(std::vector<Value>(NumKeys, Absent))};
-}
-
-std::vector<State> MapSpec::successors(const State &S,
-                                       const Operation &Op) const {
-  if (Op.Call.Object != Object)
-    return {};
+std::optional<Value> MapSpec::step(Value Cur, const Operation &Op) const {
   const ResolvedCall &C = Op.Call;
-  if (C.Args.empty() || !validKey(C.Args[0]) || !Op.Result)
-    return {};
-  std::vector<Value> M = decode(S);
-  size_t K = static_cast<size_t>(C.Args[0]);
-  Value Old = M[K];
-
-  if (C.Method == "put") {
-    if (C.Args.size() != 2 || !validVal(C.Args[1]))
-      return {};
-    if (*Op.Result != Old)
-      return {};
-    M[K] = C.Args[1];
-    return {encode(M)};
-  }
-  if (C.Method == "get") {
-    if (C.Args.size() != 1 || *Op.Result != Old)
-      return {};
-    return {S};
-  }
-  if (C.Method == "remove") {
-    if (C.Args.size() != 1 || *Op.Result != Old)
-      return {};
-    M[K] = Absent;
-    return {encode(M)};
-  }
-  if (C.Method == "containsKey") {
-    if (C.Args.size() != 1 || *Op.Result != (Old == Absent ? 0 : 1))
-      return {};
-    return {S};
-  }
-  return {};
+  if (!Op.Result)
+    return std::nullopt;
+  Value R = *Op.Result;
+  if (C.Method == "put" && C.Args.size() == 2 && validVal(C.Args[1]) &&
+      R == Cur)
+    return C.Args[1];
+  if (C.Args.size() != 1)
+    return std::nullopt;
+  if (C.Method == "get" && R == Cur)
+    return Cur;
+  if (C.Method == "remove" && R == Cur)
+    return Absent;
+  if (C.Method == "containsKey" && R == (Cur == Absent ? 0 : 1))
+    return Cur;
+  return std::nullopt;
 }
 
-std::vector<Completion>
-MapSpec::completions(const State &S, const ResolvedCall &Call) const {
-  if (Call.Object != Object)
+std::vector<Completion> MapSpec::results(Value Cur,
+                                         const ResolvedCall &Call) const {
+  if (Call.Method == "put" && Call.Args.size() == 2 && validVal(Call.Args[1]))
+    return {Completion{Cur}};
+  if (Call.Args.size() != 1)
     return {};
-  if (Call.Args.empty() || !validKey(Call.Args[0]))
-    return {};
-  Value Old = decode(S)[static_cast<size_t>(Call.Args[0])];
-  if (Call.Method == "put") {
-    if (Call.Args.size() != 2 || !validVal(Call.Args[1]))
-      return {};
-    return {Completion{Old}};
-  }
-  if (Call.Method == "get" && Call.Args.size() == 1)
-    return {Completion{Old}};
-  if (Call.Method == "remove" && Call.Args.size() == 1)
-    return {Completion{Old}};
-  if (Call.Method == "containsKey" && Call.Args.size() == 1)
-    return {Completion{Old == Absent ? Value(0) : Value(1)}};
+  if (Call.Method == "get" || Call.Method == "remove")
+    return {Completion{Cur}};
+  if (Call.Method == "containsKey")
+    return {Completion{Cur == Absent ? Value(0) : Value(1)}};
   return {};
 }
 
 std::vector<Operation> MapSpec::probeOps() const {
   std::vector<Operation> Out;
-  for (unsigned K = 0; K < NumKeys; ++K) {
+  for (unsigned K = 0; K < numKeys(); ++K) {
     Value Key = static_cast<Value>(K);
     // Possible observed "previous" values: Absent or any valid value.
     std::vector<Value> Observables;
@@ -119,24 +59,24 @@ std::vector<Operation> MapSpec::probeOps() const {
     for (unsigned V = 0; V < NumVals; ++V)
       for (Value Old : Observables) {
         Operation Put;
-        Put.Call = {Object, "put", {Key, static_cast<Value>(V)}};
+        Put.Call = {object(), "put", {Key, static_cast<Value>(V)}};
         Put.Result = Old;
         Out.push_back(Put);
       }
     for (Value Old : Observables) {
       Operation Get;
-      Get.Call = {Object, "get", {Key}};
+      Get.Call = {object(), "get", {Key}};
       Get.Result = Old;
       Out.push_back(Get);
 
       Operation Rem;
-      Rem.Call = {Object, "remove", {Key}};
+      Rem.Call = {object(), "remove", {Key}};
       Rem.Result = Old;
       Out.push_back(Rem);
     }
     for (Value B : {Value(0), Value(1)}) {
       Operation Has;
-      Has.Call = {Object, "containsKey", {Key}};
+      Has.Call = {object(), "containsKey", {Key}};
       Has.Result = B;
       Out.push_back(Has);
     }
@@ -144,59 +84,9 @@ std::vector<Operation> MapSpec::probeOps() const {
   return Out;
 }
 
-/// Apply \p Op to a single key whose current mapping is \p Cur (possibly
-/// Absent).  Returns the new mapping, or nullopt when the recorded result
-/// contradicts.
-static std::optional<Value> applyOneMapKey(Value Cur, const Operation &Op) {
-  if (!Op.Result)
-    return std::nullopt;
-  Value R = *Op.Result;
-  if (Op.Call.Method == "put" && Op.Call.Args.size() == 2)
-    return R == Cur ? std::optional<Value>(Op.Call.Args[1]) : std::nullopt;
-  if (Op.Call.Method == "get")
-    return R == Cur ? std::optional<Value>(Cur) : std::nullopt;
-  if (Op.Call.Method == "remove")
-    return R == Cur ? std::optional<Value>(MapSpec::Absent) : std::nullopt;
-  if (Op.Call.Method == "containsKey")
-    return R == (Cur == MapSpec::Absent ? 0 : 1) ? std::optional<Value>(Cur)
-                                                 : std::nullopt;
-  return std::nullopt;
-}
-
-Tri MapSpec::leftMoverHint(const Operation &A, const Operation &B) const {
-  if (A.Call.Object != B.Call.Object)
-    return Tri::Yes;
-  if (A.Call.Object != Object)
-    return Tri::Unknown;
-  if (A.Call.Args.empty() || B.Call.Args.empty())
-    return Tri::Unknown;
-  if (A.Call.Args[0] != B.Call.Args[0])
-    return Tri::Yes; // Figure 2's abstract-lock discipline: distinct keys.
-  if (!validKey(A.Call.Args[0]))
-    return Tri::Unknown;
-
-  // Same key: decide exactly over the key's Absent + NumVals states (all
-  // reachable, all observable via get).
-  for (Value Cur = Absent; Cur < static_cast<Value>(NumVals); ++Cur) {
-    auto S1 = applyOneMapKey(Cur, A);
-    if (!S1)
-      continue;
-    auto S2 = applyOneMapKey(*S1, B);
-    if (!S2)
-      continue; // l.A.B not allowed here: vacuous.
-    auto T1 = applyOneMapKey(Cur, B);
-    if (!T1)
-      return Tri::No;
-    auto T2 = applyOneMapKey(*T1, A);
-    if (!T2 || *T2 != *S2)
-      return Tri::No;
-  }
-  return Tri::Yes;
-}
-
 std::vector<MethodSig> MapSpec::methods() const {
-  return {{Object, "put", 2, true},
-          {Object, "get", 1, true},
-          {Object, "remove", 1, true},
-          {Object, "containsKey", 1, true}};
+  return {{object(), "put", 2, true},
+          {object(), "get", 1, true},
+          {object(), "remove", 1, true},
+          {object(), "containsKey", 1, true}};
 }

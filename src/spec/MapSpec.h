@@ -27,12 +27,12 @@
 #ifndef PUSHPULL_SPEC_MAPSPEC_H
 #define PUSHPULL_SPEC_MAPSPEC_H
 
-#include "core/Spec.h"
+#include "spec/KeyedSpec.h"
 
 namespace pushpull {
 
 /// A map from {0..NumKeys-1} to {0..NumVals-1}.
-class MapSpec : public SequentialSpec {
+class MapSpec : public KeyedSpec {
 public:
   /// Result sentinel for "no mapping".
   static constexpr Value Absent = -1;
@@ -40,28 +40,19 @@ public:
   MapSpec(std::string Object, unsigned NumKeys, unsigned NumVals);
 
   std::string name() const override;
-  std::vector<State> initialStates() const override;
-  std::vector<State> successors(const State &S,
-                                const Operation &Op) const override;
-  std::vector<Completion> completions(const State &S,
-                                      const ResolvedCall &Call)
-      const override;
   std::vector<Operation> probeOps() const override;
   std::vector<MethodSig> methods() const override;
-  Tri leftMoverHint(const Operation &A, const Operation &B) const override;
 
-  const std::string &object() const { return Object; }
-  unsigned numKeys() const { return NumKeys; }
   unsigned numVals() const { return NumVals; }
 
 private:
-  std::vector<Value> decode(const State &S) const;
-  State encode(const std::vector<Value> &M) const;
-  bool validKey(Value K) const;
-  bool validVal(Value V) const;
+  std::optional<Value> step(Value Cur, const Operation &Op) const override;
+  std::vector<Completion> results(Value Cur,
+                                  const ResolvedCall &Call) const override;
+  bool validVal(Value V) const {
+    return V >= 0 && V < static_cast<Value>(NumVals);
+  }
 
-  std::string Object;
-  unsigned NumKeys;
   unsigned NumVals;
 };
 

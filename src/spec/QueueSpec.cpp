@@ -2,7 +2,7 @@
 
 #include "spec/QueueSpec.h"
 
-#include "support/Str.h"
+#include "spec/KeyedSpec.h"
 
 #include <cassert>
 
@@ -20,22 +20,6 @@ std::string QueueSpec::name() const {
          ",v=" + std::to_string(NumVals) + ")";
 }
 
-std::vector<Value> QueueSpec::decode(const State &S) const {
-  std::vector<Value> Out;
-  if (S.empty())
-    return Out;
-  for (const std::string &Part : splitOn(S, ','))
-    Out.push_back(std::stoll(Part));
-  return Out;
-}
-
-State QueueSpec::encode(const std::vector<Value> &Q) const {
-  std::vector<std::string> Parts;
-  for (Value V : Q)
-    Parts.push_back(std::to_string(V));
-  return join(Parts, ",");
-}
-
 std::vector<State> QueueSpec::initialStates() const { return {State()}; }
 
 std::vector<State> QueueSpec::successors(const State &S,
@@ -43,7 +27,7 @@ std::vector<State> QueueSpec::successors(const State &S,
   if (Op.Call.Object != Object)
     return {};
   const ResolvedCall &C = Op.Call;
-  std::vector<Value> Q = decode(S);
+  std::vector<Value> Q = decodeValues(S);
 
   if (C.Method == "enq") {
     if (C.Args.size() != 1 || C.Args[0] < 0 ||
@@ -54,7 +38,7 @@ std::vector<State> QueueSpec::successors(const State &S,
       return {};
     if (Fits)
       Q.push_back(C.Args[0]);
-    return {encode(Q)};
+    return {encodeValues(Q)};
   }
   if (C.Method == "deq") {
     if (!C.Args.empty() || !Op.Result)
@@ -67,7 +51,7 @@ std::vector<State> QueueSpec::successors(const State &S,
     if (*Op.Result != Q.front())
       return {};
     Q.erase(Q.begin());
-    return {encode(Q)};
+    return {encodeValues(Q)};
   }
   if (C.Method == "size") {
     if (!C.Args.empty() || !Op.Result ||
@@ -82,7 +66,7 @@ std::vector<Completion>
 QueueSpec::completions(const State &S, const ResolvedCall &Call) const {
   if (Call.Object != Object)
     return {};
-  std::vector<Value> Q = decode(S);
+  std::vector<Value> Q = decodeValues(S);
   if (Call.Method == "enq") {
     if (Call.Args.size() != 1 || Call.Args[0] < 0 ||
         Call.Args[0] >= static_cast<Value>(NumVals))

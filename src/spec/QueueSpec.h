@@ -49,9 +49,6 @@ public:
   const std::string &object() const { return Object; }
 
 private:
-  std::vector<Value> decode(const State &S) const;
-  State encode(const std::vector<Value> &Q) const;
-
   std::string Object;
   unsigned Capacity;
   unsigned NumVals;

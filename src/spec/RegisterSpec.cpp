@@ -2,103 +2,49 @@
 
 #include "spec/RegisterSpec.h"
 
-#include "support/Str.h"
-
-#include <cassert>
-
 using namespace pushpull;
 
 RegisterSpec::RegisterSpec(std::string Object, unsigned NumRegs,
                            unsigned NumVals)
-    : Object(std::move(Object)), NumRegs(NumRegs), NumVals(NumVals) {
-  assert(NumRegs > 0 && NumVals > 0 && "degenerate register bank");
-}
+    : KeyedSpec(std::move(Object), NumRegs, 0,
+                static_cast<Value>(NumVals) - 1, 0),
+      NumVals(NumVals) {}
 
 std::string RegisterSpec::name() const {
-  return "registers(" + Object + ",r=" + std::to_string(NumRegs) +
+  return "registers(" + object() + ",r=" + std::to_string(numRegs()) +
          ",v=" + std::to_string(NumVals) + ")";
 }
 
-std::vector<Value> RegisterSpec::decode(const State &S) const {
-  std::vector<Value> Out;
-  for (const std::string &Part : splitOn(S, ','))
-    Out.push_back(std::stoll(Part));
-  assert(Out.size() == NumRegs && "malformed register state");
-  return Out;
-}
-
-State RegisterSpec::encode(const std::vector<Value> &Regs) const {
-  std::vector<std::string> Parts;
-  for (Value V : Regs)
-    Parts.push_back(std::to_string(V));
-  return join(Parts, ",");
-}
-
-bool RegisterSpec::validReg(Value R) const {
-  return R >= 0 && R < static_cast<Value>(NumRegs);
-}
-
-std::vector<State> RegisterSpec::initialStates() const {
-  return {encode(std::vector<Value>(NumRegs, 0))};
-}
-
-std::vector<State> RegisterSpec::successors(const State &S,
-                                            const Operation &Op) const {
-  if (Op.Call.Object != Object)
-    return {};
-  std::vector<Value> Regs = decode(S);
+std::optional<Value> RegisterSpec::step(Value Cur, const Operation &Op) const {
   const ResolvedCall &C = Op.Call;
-  if (C.Method == "read") {
-    if (C.Args.size() != 1 || !validReg(C.Args[0]))
-      return {};
-    if (!Op.Result || *Op.Result != Regs[C.Args[0]])
-      return {};
-    return {S};
-  }
-  if (C.Method == "write") {
-    if (C.Args.size() != 2 || !validReg(C.Args[0]))
-      return {};
-    Value V = C.Args[1];
-    if (V < 0 || V >= static_cast<Value>(NumVals))
-      return {};
-    if (Op.Result && *Op.Result != V)
-      return {};
-    Regs[C.Args[0]] = V;
-    return {encode(Regs)};
-  }
-  return {};
+  if (C.Method == "read" && C.Args.size() == 1 && Op.Result == Cur)
+    return Cur;
+  if (C.Method == "write" && C.Args.size() == 2 && validVal(C.Args[1]) &&
+      (!Op.Result || *Op.Result == C.Args[1]))
+    return C.Args[1];
+  return std::nullopt;
 }
 
-std::vector<Completion>
-RegisterSpec::completions(const State &S, const ResolvedCall &Call) const {
-  if (Call.Object != Object)
-    return {};
-  if (Call.Method == "read") {
-    if (Call.Args.size() != 1 || !validReg(Call.Args[0]))
-      return {};
-    return {Completion{decode(S)[Call.Args[0]]}};
-  }
-  if (Call.Method == "write") {
-    if (Call.Args.size() != 2 || !validReg(Call.Args[0]))
-      return {};
-    if (Call.Args[1] < 0 || Call.Args[1] >= static_cast<Value>(NumVals))
-      return {};
+std::vector<Completion> RegisterSpec::results(Value Cur,
+                                              const ResolvedCall &Call) const {
+  if (Call.Method == "read" && Call.Args.size() == 1)
+    return {Completion{Cur}};
+  if (Call.Method == "write" && Call.Args.size() == 2 && validVal(Call.Args[1]))
     return {Completion{Call.Args[1]}};
-  }
   return {};
 }
 
 std::vector<Operation> RegisterSpec::probeOps() const {
   std::vector<Operation> Out;
-  for (unsigned R = 0; R < NumRegs; ++R) {
+  for (unsigned R = 0; R < numRegs(); ++R) {
     for (unsigned V = 0; V < NumVals; ++V) {
       Operation Read;
-      Read.Call = {Object, "read", {static_cast<Value>(R)}};
+      Read.Call = {object(), "read", {static_cast<Value>(R)}};
       Read.Result = static_cast<Value>(V);
       Out.push_back(Read);
 
       Operation Write;
-      Write.Call = {Object, "write",
+      Write.Call = {object(), "write",
                     {static_cast<Value>(R), static_cast<Value>(V)}};
       Write.Result = static_cast<Value>(V);
       Out.push_back(Write);
@@ -107,51 +53,6 @@ std::vector<Operation> RegisterSpec::probeOps() const {
   return Out;
 }
 
-/// Apply \p Op to a single register whose current value is \p Cur.
-/// Returns the new value, or nullopt when the operation is not allowed.
-static std::optional<Value> applyOneReg(Value Cur, const Operation &Op) {
-  if (Op.Call.Method == "read") {
-    if (!Op.Result || *Op.Result != Cur)
-      return std::nullopt;
-    return Cur;
-  }
-  if (Op.Call.Method == "write" && Op.Call.Args.size() == 2)
-    return Op.Call.Args[1];
-  return std::nullopt;
-}
-
-Tri RegisterSpec::leftMoverHint(const Operation &A, const Operation &B) const {
-  if (A.Call.Object != B.Call.Object)
-    return Tri::Yes; // Disjoint objects always commute.
-  if (A.Call.Object != Object)
-    return Tri::Unknown; // Not ours to judge.
-  if (A.Call.Args.empty() || B.Call.Args.empty())
-    return Tri::Unknown;
-  if (A.Call.Args[0] != B.Call.Args[0])
-    return Tri::Yes; // Different registers commute.
-  if (!validReg(A.Call.Args[0]))
-    return Tri::Unknown;
-
-  // Same register: decide exactly by simulating both orders over the
-  // register's full (and fully reachable) value domain.  The register is
-  // observable (reads exist), so differing final values refute.
-  for (Value Cur = 0; Cur < static_cast<Value>(NumVals); ++Cur) {
-    auto S1 = applyOneReg(Cur, A);
-    if (!S1)
-      continue;
-    auto S2 = applyOneReg(*S1, B);
-    if (!S2)
-      continue; // l.A.B not allowed here: vacuous.
-    auto T1 = applyOneReg(Cur, B);
-    if (!T1)
-      return Tri::No;
-    auto T2 = applyOneReg(*T1, A);
-    if (!T2 || *T2 != *S2)
-      return Tri::No;
-  }
-  return Tri::Yes;
-}
-
 std::vector<MethodSig> RegisterSpec::methods() const {
-  return {{Object, "read", 1, true}, {Object, "write", 2, true}};
+  return {{object(), "read", 1, true}, {object(), "write", 2, true}};
 }

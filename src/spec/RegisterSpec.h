@@ -21,43 +21,34 @@
 #ifndef PUSHPULL_SPEC_REGISTERSPEC_H
 #define PUSHPULL_SPEC_REGISTERSPEC_H
 
-#include "core/Spec.h"
+#include "spec/KeyedSpec.h"
 
 namespace pushpull {
 
 /// A bank of \p NumRegs registers over the value domain {0..NumVals-1}.
 /// The finite domain keeps the probe alphabet and state space finite, so
-/// the coinductive checks are exact decision procedures here.
-class RegisterSpec : public SequentialSpec {
+/// the coinductive checks are exact decision procedures here.  The keyed
+/// hint decides every register pair: different registers commute, and a
+/// same-register pair is simulated over the register's values.
+class RegisterSpec : public KeyedSpec {
 public:
   RegisterSpec(std::string Object, unsigned NumRegs, unsigned NumVals);
 
   std::string name() const override;
-  std::vector<State> initialStates() const override;
-  std::vector<State> successors(const State &S,
-                                const Operation &Op) const override;
-  std::vector<Completion> completions(const State &S,
-                                      const ResolvedCall &Call)
-      const override;
   std::vector<Operation> probeOps() const override;
   std::vector<MethodSig> methods() const override;
 
-  /// Algebraic hint: operations on different registers (or different
-  /// objects) always commute.  Same-register pairs are left to the
-  /// semantic check.
-  Tri leftMoverHint(const Operation &A, const Operation &B) const override;
-
-  const std::string &object() const { return Object; }
-  unsigned numRegs() const { return NumRegs; }
+  unsigned numRegs() const { return numKeys(); }
   unsigned numVals() const { return NumVals; }
 
 private:
-  std::vector<Value> decode(const State &S) const;
-  State encode(const std::vector<Value> &Regs) const;
-  bool validReg(Value R) const;
+  std::optional<Value> step(Value Cur, const Operation &Op) const override;
+  std::vector<Completion> results(Value Cur,
+                                  const ResolvedCall &Call) const override;
+  bool validVal(Value V) const {
+    return V >= 0 && V < static_cast<Value>(NumVals);
+  }
 
-  std::string Object;
-  unsigned NumRegs;
   unsigned NumVals;
 };
 

@@ -2,142 +2,55 @@
 
 #include "spec/SetSpec.h"
 
-#include <cassert>
-
 using namespace pushpull;
 
-// State encoding: one character per universe element, '0' or '1'.
-
 SetSpec::SetSpec(std::string Object, unsigned Universe)
-    : Object(std::move(Object)), Universe(Universe) {
-  assert(Universe > 0 && "degenerate set universe");
-}
+    : KeyedSpec(std::move(Object), Universe, 0, 1, 0) {}
 
 std::string SetSpec::name() const {
-  return "set(" + Object + ",u=" + std::to_string(Universe) + ")";
+  return "set(" + object() + ",u=" + std::to_string(universe()) + ")";
 }
 
-bool SetSpec::validKey(Value K) const {
-  return K >= 0 && K < static_cast<Value>(Universe);
-}
-
-std::vector<State> SetSpec::initialStates() const {
-  return {State(Universe, '0')};
-}
-
-std::vector<State> SetSpec::successors(const State &S,
-                                       const Operation &Op) const {
-  if (Op.Call.Object != Object)
-    return {};
+std::optional<Value> SetSpec::step(Value Cur, const Operation &Op) const {
   const ResolvedCall &C = Op.Call;
-  if (C.Args.size() != 1 || !validKey(C.Args[0]) || !Op.Result)
-    return {};
-  assert(S.size() == Universe && "malformed set state");
-  size_t K = static_cast<size_t>(C.Args[0]);
-  bool Present = S[K] == '1';
-
-  if (C.Method == "add") {
-    if (*Op.Result != (Present ? 0 : 1))
-      return {};
-    State N = S;
-    N[K] = '1';
-    return {N};
-  }
-  if (C.Method == "remove") {
-    if (*Op.Result != (Present ? 1 : 0))
-      return {};
-    State N = S;
-    N[K] = '0';
-    return {N};
-  }
-  if (C.Method == "contains") {
-    if (*Op.Result != (Present ? 1 : 0))
-      return {};
-    return {S};
-  }
-  return {};
+  if (C.Args.size() != 1 || !Op.Result)
+    return std::nullopt;
+  if (C.Method == "add" && *Op.Result == 1 - Cur)
+    return 1;
+  if (C.Method == "remove" && *Op.Result == Cur)
+    return 0;
+  if (C.Method == "contains" && *Op.Result == Cur)
+    return Cur;
+  return std::nullopt;
 }
 
-std::vector<Completion>
-SetSpec::completions(const State &S, const ResolvedCall &Call) const {
-  if (Call.Object != Object)
+std::vector<Completion> SetSpec::results(Value Cur,
+                                         const ResolvedCall &Call) const {
+  if (Call.Args.size() != 1)
     return {};
-  if (Call.Args.size() != 1 || !validKey(Call.Args[0]))
-    return {};
-  bool Present = S[static_cast<size_t>(Call.Args[0])] == '1';
   if (Call.Method == "add")
-    return {Completion{Present ? 0 : 1}};
-  if (Call.Method == "remove")
-    return {Completion{Present ? 1 : 0}};
-  if (Call.Method == "contains")
-    return {Completion{Present ? 1 : 0}};
+    return {Completion{1 - Cur}};
+  if (Call.Method == "remove" || Call.Method == "contains")
+    return {Completion{Cur}};
   return {};
 }
 
 std::vector<Operation> SetSpec::probeOps() const {
   std::vector<Operation> Out;
   static const char *Methods[] = {"add", "remove", "contains"};
-  for (unsigned K = 0; K < Universe; ++K)
+  for (unsigned K = 0; K < universe(); ++K)
     for (const char *M : Methods)
       for (Value R : {Value(0), Value(1)}) {
         Operation Op;
-        Op.Call = {Object, M, {static_cast<Value>(K)}};
+        Op.Call = {object(), M, {static_cast<Value>(K)}};
         Op.Result = R;
         Out.push_back(Op);
       }
   return Out;
 }
 
-/// Apply \p Op to a single key whose presence bit is \p Present.  Returns
-/// the new presence bit, or nullopt when the recorded result contradicts.
-static std::optional<bool> applyOneKey(bool Present, const Operation &Op) {
-  if (!Op.Result)
-    return std::nullopt;
-  Value R = *Op.Result;
-  if (Op.Call.Method == "add")
-    return R == (Present ? 0 : 1) ? std::optional<bool>(true) : std::nullopt;
-  if (Op.Call.Method == "remove")
-    return R == (Present ? 1 : 0) ? std::optional<bool>(false)
-                                  : std::nullopt;
-  if (Op.Call.Method == "contains")
-    return R == (Present ? 1 : 0) ? std::optional<bool>(Present)
-                                  : std::nullopt;
-  return std::nullopt;
-}
-
-Tri SetSpec::leftMoverHint(const Operation &A, const Operation &B) const {
-  if (A.Call.Object != B.Call.Object)
-    return Tri::Yes;
-  if (A.Call.Object != Object)
-    return Tri::Unknown;
-  if (A.Call.Args.size() != 1 || B.Call.Args.size() != 1)
-    return Tri::Unknown;
-  if (A.Call.Args[0] != B.Call.Args[0])
-    return Tri::Yes; // Distinct keys commute: boosting's abstract locks.
-  if (!validKey(A.Call.Args[0]))
-    return Tri::Unknown;
-
-  // Same key: decide exactly over the key's two (both reachable,
-  // observable) states.
-  for (bool Present : {false, true}) {
-    auto S1 = applyOneKey(Present, A);
-    if (!S1)
-      continue;
-    auto S2 = applyOneKey(*S1, B);
-    if (!S2)
-      continue; // l.A.B not allowed here: vacuous.
-    auto T1 = applyOneKey(Present, B);
-    if (!T1)
-      return Tri::No;
-    auto T2 = applyOneKey(*T1, A);
-    if (!T2 || *T2 != *S2)
-      return Tri::No;
-  }
-  return Tri::Yes;
-}
-
 std::vector<MethodSig> SetSpec::methods() const {
-  return {{Object, "add", 1, true},
-          {Object, "remove", 1, true},
-          {Object, "contains", 1, true}};
+  return {{object(), "add", 1, true},
+          {object(), "remove", 1, true},
+          {object(), "contains", 1, true}};
 }

@@ -14,9 +14,10 @@
 ///   remove(k)   -> 1 if k was removed, 0 if absent
 ///   contains(k) -> 0/1
 ///
-/// The commutativity structure is the one transactional boosting exploits
+/// Each element is a key holding its presence bit, 0 or 1.  The
+/// commutativity structure is the one transactional boosting exploits
 /// with per-key abstract locks: operations on distinct keys always
-/// commute, which the leftMoverHint states algebraically (and tests
+/// commute, which the keyed leftMoverHint states algebraically (and tests
 /// cross-validate against the semantic decision procedure).  Inverses —
 /// what a boosted abort executes as UNPUSH — are add(k) ~ remove(k) when
 /// the add returned 1, and no-ops otherwise.
@@ -26,34 +27,25 @@
 #ifndef PUSHPULL_SPEC_SETSPEC_H
 #define PUSHPULL_SPEC_SETSPEC_H
 
-#include "core/Spec.h"
+#include "spec/KeyedSpec.h"
 
 namespace pushpull {
 
 /// A set over the universe {0..Universe-1}.
-class SetSpec : public SequentialSpec {
+class SetSpec : public KeyedSpec {
 public:
   SetSpec(std::string Object, unsigned Universe);
 
   std::string name() const override;
-  std::vector<State> initialStates() const override;
-  std::vector<State> successors(const State &S,
-                                const Operation &Op) const override;
-  std::vector<Completion> completions(const State &S,
-                                      const ResolvedCall &Call)
-      const override;
   std::vector<Operation> probeOps() const override;
   std::vector<MethodSig> methods() const override;
-  Tri leftMoverHint(const Operation &A, const Operation &B) const override;
 
-  const std::string &object() const { return Object; }
-  unsigned universe() const { return Universe; }
+  unsigned universe() const { return numKeys(); }
 
 private:
-  bool validKey(Value K) const;
-
-  std::string Object;
-  unsigned Universe;
+  std::optional<Value> step(Value Cur, const Operation &Op) const override;
+  std::vector<Completion> results(Value Cur,
+                                  const ResolvedCall &Call) const override;
 };
 
 } // namespace pushpull

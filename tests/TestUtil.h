@@ -6,6 +6,7 @@
 #include "core/Mover.h"
 #include "core/Op.h"
 #include "core/Spec.h"
+#include "spec/KeyedSpec.h"
 
 #include <string>
 #include <vector>
@@ -27,15 +28,25 @@ inline Operation mkOp(OpId Id, const std::string &Obj,
 /// Cross-validate a spec's leftMoverHint against the semantic decision
 /// procedure on every ordered pair of probe operations.  Returns the list
 /// of disagreements rendered as strings (empty = sound and, where the
-/// hint answers, exact).
+/// hint answers, exact).  A KeyedSpec's hint must also answer every pair
+/// of single-key operations on its object with valid keys (only the bank's
+/// two-key transfer may stay Unknown): a pair it leaves Unknown while the
+/// semantic check decides it is reported too, and so is a reachable family
+/// too large for the semantic check to decide anything.
 inline std::vector<std::string> hintDisagreements(const SequentialSpec &S) {
   std::vector<std::string> Out;
   MoverChecker Movers(S);
+  const auto *Keyed = dynamic_cast<const KeyedSpec *>(&S);
+  if (Keyed && !Movers.reachableExact())
+    Out.push_back("reachable family inexact: nothing decided");
+  auto OneKey = [&](const Operation &Op) {
+    return Keyed->ownsKey(Op.Call) && Op.Call.Method != "transfer";
+  };
   std::vector<Operation> Probes = S.probeOps();
   for (const Operation &A : Probes)
     for (const Operation &B : Probes) {
       Tri Hint = S.leftMoverHint(A, B);
-      if (Hint == Tri::Unknown)
+      if (Hint == Tri::Unknown && !(Keyed && OneKey(A) && OneKey(B)))
         continue;
       Tri Sem = Movers.leftMoverSemantic(A, B);
       if (Sem == Tri::Unknown)

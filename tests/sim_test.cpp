@@ -47,6 +47,31 @@ TEST(Stats, AbsorbTraceFillsHistogram) {
   EXPECT_NE(S.find("APP=2"), std::string::npos);
 }
 
+TEST(Stats, CacheAbsorbSumsEveryCounter) {
+  // Distinct values, so a counter summed into the wrong field, or not at
+  // all, renders differently.
+  CacheStats R;
+  uint64_t *Counters[] = {
+      &R.Intern.StatesInterned, &R.Intern.StateSetsInterned,
+      &R.Intern.OpKeysInterned, &R.Intern.TransitionMemoHits,
+      &R.Intern.TransitionMemoMisses, &R.MoverMemoHits, &R.MoverMemoMisses,
+      &R.PrecongruencePairs, &R.ReachableSets, &R.ExplorerFiringsPruned,
+      &R.ExplorerPersistentCuts, &R.ExplorerSymmetryHits, &R.CommutTableHits,
+      &R.CommutTableMisses, &R.CertChecks, &R.ProvedPrograms, &R.OracleSkips,
+      &R.Memory.MachineCopies, &R.Memory.ChunkShares, &R.Memory.DeepCopies,
+      &R.Memory.SnapshotBytes, &R.Memory.ArenaBytes};
+  uint64_t V = 1;
+  for (uint64_t *C : Counters)
+    *C = V++;
+  CacheStats Total;
+  Total.absorb(R);
+  EXPECT_EQ(Total.toString(), R.toString());
+  Total.absorb(R);
+  for (uint64_t *C : Counters)
+    *C *= 2;
+  EXPECT_EQ(Total.toString(), R.toString());
+}
+
 TEST(Scheduler, StepBudgetBoundsRun) {
   RegisterSpec Spec("mem", 1, 2);
   MoverChecker Movers(Spec);

@@ -123,9 +123,10 @@ TEST(BankSpec, TransfersLeftToSemanticEngine) {
 }
 
 TEST(BankSpec, HintAgreesWithSemantics) {
-  // Smaller bank so the semantic cross-validation stays fast.
-  BankSpec S("bank", 2, 3, 1);
-  EXPECT_EQ(hintDisagreements(S), std::vector<std::string>{});
+  // Small banks so the semantic cross-validation stays fast.
+  for (const BankSpec &S :
+       {BankSpec("bank", 2, 3, 1), BankSpec("bank", 3, 4, 2)})
+    EXPECT_EQ(hintDisagreements(S), std::vector<std::string>{}) << S.name();
 }
 
 TEST(BankSpec, DomainChecks) {

@@ -89,7 +89,8 @@ TEST(CounterSpec, ReadsDoNotCommuteWithUpdates) {
 }
 
 TEST(CounterSpec, HintAgreesWithSemantics) {
-  EXPECT_EQ(hintDisagreements(spec()), std::vector<std::string>{});
+  for (const CounterSpec &S : {spec(), CounterSpec("c", 3, 5)})
+    EXPECT_EQ(hintDisagreements(S), std::vector<std::string>{}) << S.name();
 }
 
 TEST(CounterSpec, Completions) {

@@ -113,7 +113,8 @@ TEST(MapSpec, SameKeyConflicts) {
 }
 
 TEST(MapSpec, HintAgreesWithSemantics) {
-  EXPECT_EQ(hintDisagreements(spec()), std::vector<std::string>{});
+  for (const MapSpec &S : {spec(), MapSpec("ht", 4, 2)})
+    EXPECT_EQ(hintDisagreements(S), std::vector<std::string>{}) << S.name();
 }
 
 TEST(MapSpec, Name) { EXPECT_EQ(spec().name(), "map(ht,k=3,v=2)"); }

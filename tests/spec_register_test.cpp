@@ -111,11 +111,17 @@ TEST(RegisterSpec, HintSameRegisterTable) {
   // Writes of different values do not commute; same value does.
   EXPECT_EQ(S.leftMoverHint(wr(0, 1), wr(0, 2)), Tri::No);
   EXPECT_EQ(S.leftMoverHint(wr(0, 1), wr(0, 1)), Tri::Yes);
+  // A write recorded with a result it cannot return is never allowed, so
+  // it moves vacuously: the hint runs the same step as successors.
+  Operation BadWrite = wr(0, 1);
+  BadWrite.Result = 0;
+  EXPECT_EQ(S.leftMoverHint(BadWrite, rd(0, 1)),
+            MoverChecker(S).leftMoverSemantic(BadWrite, rd(0, 1)));
 }
 
 TEST(RegisterSpec, HintAgreesWithSemantics) {
-  RegisterSpec S = spec();
-  EXPECT_EQ(hintDisagreements(S), std::vector<std::string>{});
+  for (const RegisterSpec &S : {spec(), RegisterSpec("mem", 3, 4)})
+    EXPECT_EQ(hintDisagreements(S), std::vector<std::string>{}) << S.name();
 }
 
 TEST(RegisterSpec, SuccessorsRejectWrongResult) {

@@ -93,7 +93,8 @@ TEST(SetSpec, SameKeyTable) {
 }
 
 TEST(SetSpec, HintAgreesWithSemantics) {
-  EXPECT_EQ(hintDisagreements(spec()), std::vector<std::string>{});
+  for (const SetSpec &S : {spec(), SetSpec("set", 5)})
+    EXPECT_EQ(hintDisagreements(S), std::vector<std::string>{}) << S.name();
 }
 
 TEST(SetSpec, ProbeAlphabetSize) {
@@ -103,7 +104,7 @@ TEST(SetSpec, ProbeAlphabetSize) {
 
 TEST(SetSpec, SuccessorsCheckResult) {
   SetSpec S = spec();
-  EXPECT_FALSE(S.successors("000", add(1, 1)).empty());
-  EXPECT_TRUE(S.successors("000", add(1, 0)).empty());
-  EXPECT_EQ(S.successors("000", add(1, 1))[0], "010");
+  EXPECT_FALSE(S.successors("0,0,0", add(1, 1)).empty());
+  EXPECT_TRUE(S.successors("0,0,0", add(1, 0)).empty());
+  EXPECT_EQ(S.successors("0,0,0", add(1, 1))[0], "0,1,0");
 }
