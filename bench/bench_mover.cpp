@@ -58,9 +58,9 @@ void qualitative() {
   }
   for (const auto &S : Specs) {
     MoverChecker Movers(*S);
+    const ReachableFamily &F = Movers.family();
     std::printf("%24s %12zu %14zu %10s\n", S->name().c_str(),
-                S->probeOps().size(), Movers.reachableCount(),
-                yesNo(Movers.reachableExact()));
+                S->probeOps().size(), F.Sets.size(), yesNo(F.Exact));
   }
   std::printf("shape: composite state spaces multiply — the cost the\n"
               "paper's uniform treatment of mixed systems pays.\n");
@@ -78,7 +78,7 @@ void qualitative() {
                 yesNo(H == Sem));
     std::printf("semantic path explored %zu reachable sets and %llu "
                 "precongruence pairs\n",
-                WithHints.reachableCount(),
+                WithHints.family().Sets.size(),
                 (unsigned long long)WithHints.precongruence().pairsVisited());
   }
 

@@ -8,7 +8,6 @@
 #include "analysis/Commutativity.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 using namespace pushpull;
 
@@ -24,69 +23,6 @@ std::string pushpull::toString(MoverClass C) {
     return "non";
   }
   return "?";
-}
-
-std::string pushpull::toString(CertKind K) {
-  switch (K) {
-  case CertKind::StrongDiamond:
-    return "diamond";
-  case CertKind::Counterexample:
-    return "counterexample";
-  case CertKind::ViaPrecongruence:
-    return "precongruence";
-  case CertKind::Unknown:
-    return "unknown";
-  }
-  return "?";
-}
-
-ReachableFamily
-pushpull::computeReachableFamily(const SequentialSpec &Spec,
-                                 const std::vector<Operation> &Probes,
-                                 size_t MaxSets) {
-  ReachableFamily F;
-  std::vector<OpKeyId> Keys;
-  Keys.reserve(Probes.size());
-  for (const Operation &P : Probes)
-    Keys.push_back(Spec.table().opKey(P));
-
-  std::unordered_map<StateSetId, size_t> Seen;
-  StateSetId Init = Spec.initialId();
-  F.Sets.push_back(Init);
-  F.Parent.push_back(-1);
-  F.ParentOp.push_back(0);
-  Seen.emplace(Init, 0);
-
-  F.Exact = true;
-  for (size_t Head = 0; Head < F.Sets.size(); ++Head) {
-    StateSetId S = F.Sets[Head];
-    for (size_t Pi = 0; Pi < Probes.size(); ++Pi) {
-      StateSetId Img = Spec.applyOpId(S, Probes[Pi], Keys[Pi]);
-      if (Img == StateTable::EmptySetId || Seen.count(Img))
-        continue;
-      if (F.Sets.size() >= MaxSets) {
-        // A new member exists beyond the bound: the family is a sample.
-        F.Exact = false;
-        return F;
-      }
-      Seen.emplace(Img, F.Sets.size());
-      F.Sets.push_back(Img);
-      F.Parent.push_back(static_cast<int32_t>(Head));
-      F.ParentOp.push_back(static_cast<uint32_t>(Pi));
-    }
-  }
-  return F;
-}
-
-std::vector<Operation>
-pushpull::witnessPrefix(const ReachableFamily &F, size_t Index,
-                        const std::vector<Operation> &Probes) {
-  std::vector<Operation> Prefix;
-  for (int64_t I = static_cast<int64_t>(Index); I > 0;
-       I = F.Parent[static_cast<size_t>(I)])
-    Prefix.push_back(Probes[F.ParentOp[static_cast<size_t>(I)]]);
-  std::reverse(Prefix.begin(), Prefix.end());
-  return Prefix;
 }
 
 namespace {
@@ -186,74 +122,42 @@ CertCheckResult pushpull::verifyCounterexample(const SequentialSpec &Spec,
   return R;
 }
 
-CommutativityAnalysis::CommutativityAnalysis(const SequentialSpec &Spec,
-                                             MoverChecker &Movers,
-                                             size_t MaxReachableSets)
-    : Spec(Spec), Movers(Movers), MaxReachableSets(MaxReachableSets),
-      Probes(Spec.probes()), ProbeKeys(Spec.probeKeys()) {}
-
-const ReachableFamily &CommutativityAnalysis::family() {
-  if (!FamilyComputed) {
-    Fam = computeReachableFamily(Spec, Probes, MaxReachableSets);
-    FamilyComputed = true;
-  }
-  return Fam;
-}
-
-int64_t CommutativityAnalysis::strongSweep(size_t AIdx, size_t BIdx) {
-  const ReachableFamily &F = family();
+bool pushpull::certifyPair(const SequentialSpec &Spec,
+                           const ReachableFamily &F, size_t AIdx, size_t BIdx,
+                           PairCertificate &Cert) {
+  Cert = PairCertificate();
+  if (!F.Exact)
+    return false;
+  const std::vector<Operation> &Probes = Spec.probes();
+  const std::vector<OpKeyId> &Keys = Spec.probeKeys();
   const Operation &A = Probes[AIdx], &B = Probes[BIdx];
-  OpKeyId KA = ProbeKeys[AIdx], KB = ProbeKeys[BIdx];
-  for (size_t I = 0; I < F.Sets.size(); ++I)
-    if (!diamondClosesAt(Spec, F.Sets[I], A, KA, B, KB))
-      return static_cast<int64_t>(I);
-  return -1;
-}
-
-bool CommutativityAnalysis::stronglyCommutes(size_t AIdx, size_t BIdx,
-                                             PairCertificate *CertOut) {
-  uint64_t Lo = std::min(AIdx, BIdx), Hi = std::max(AIdx, BIdx);
-  uint64_t Key = (Lo << 32) | Hi;
-  auto It = PairMemo.find(Key);
-  if (It == PairMemo.end()) {
-    PairEntry E;
-    const ReachableFamily &F = family();
-    if (!F.Exact) {
-      E.Cert.Kind = CertKind::Unknown;
-    } else {
-      int64_t Fail = strongSweep(AIdx, BIdx);
-      const Operation &A = Probes[AIdx], &B = Probes[BIdx];
-      if (Fail < 0) {
-        E.Cert.Kind = CertKind::StrongDiamond;
-        E.Cert.Family = F.Sets;
-        std::sort(E.Cert.Family.begin(), E.Cert.Family.end());
-        // Never trust the sweep: the verdict is the *checker's*.
-        ++CertChecks;
-        E.Strong =
-            verifyStrongCertificate(Spec, A, B, Probes, E.Cert).Ok;
-      } else {
-        E.Cert.Kind = CertKind::Counterexample;
-        E.Cert.Witness =
-            witnessPrefix(F, static_cast<size_t>(Fail), Probes);
-        ++CertChecks;
-        // A failed replay would mean the sweep mis-indexed its witness;
-        // the pair stays non-strong either way, but the certificate is
-        // only kept if it replays.
-        if (!verifyCounterexample(Spec, A, B, E.Cert).Ok)
-          E.Cert.Kind = CertKind::Unknown;
-      }
-    }
-    It = PairMemo.emplace(Key, std::move(E)).first;
+  auto Fail = std::find_if(F.Sets.begin(), F.Sets.end(), [&](StateSetId S) {
+    return !diamondClosesAt(Spec, S, A, Keys[AIdx], B, Keys[BIdx]);
+  });
+  if (Fail == F.Sets.end()) {
+    Cert.Kind = CertKind::StrongDiamond;
+    Cert.Family = F.Sets;
+    std::sort(Cert.Family.begin(), Cert.Family.end());
+    // Never trust the sweep: the verdict is the *checker's*.
+    return verifyStrongCertificate(Spec, A, B, Probes, Cert).Ok;
   }
-  if (CertOut)
-    *CertOut = It->second.Cert;
-  return It->second.Strong;
+  Cert.Kind = CertKind::Counterexample;
+  Cert.Witness = witnessPrefix(
+      F, static_cast<size_t>(Fail - F.Sets.begin()), Probes);
+  // A failed replay would mean the sweep mis-indexed its witness; the pair
+  // stays non-strong either way, but the certificate is only kept if it
+  // replays.
+  if (!verifyCounterexample(Spec, A, B, Cert).Ok)
+    Cert.Kind = CertKind::Unknown;
+  return false;
 }
 
-PairVerdict CommutativityAnalysis::classify(size_t AIdx, size_t BIdx) {
+PairVerdict pushpull::classifyPair(const SequentialSpec &Spec,
+                                   MoverChecker &Movers, size_t AIdx,
+                                   size_t BIdx) {
   PairVerdict V;
-  V.Strong = stronglyCommutes(AIdx, BIdx, &V.Cert);
-  const Operation &A = Probes[AIdx], &B = Probes[BIdx];
+  V.Strong = certifyPair(Spec, Movers.family(), AIdx, BIdx, V.Cert);
+  const Operation &A = Spec.probes()[AIdx], &B = Spec.probes()[BIdx];
   V.LeftAB = Movers.leftMover(A, B);
   V.LeftBA = Movers.leftMover(B, A);
   if (V.LeftAB == Tri::Yes && V.LeftBA == Tri::Yes)
@@ -264,11 +168,5 @@ PairVerdict CommutativityAnalysis::classify(size_t AIdx, size_t BIdx) {
     V.Class = MoverClass::Right;
   else
     V.Class = MoverClass::Non;
-  // A both-mover that is not strongly commuting: refinement without
-  // equality (or a bounded-out family).  Record the evidence grade when
-  // no replayable certificate exists.
-  if (!V.Strong && V.Class == MoverClass::Both &&
-      V.Cert.Kind == CertKind::Unknown)
-    V.Cert.Kind = CertKind::ViaPrecongruence;
   return V;
 }

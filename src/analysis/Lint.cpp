@@ -3,6 +3,7 @@
 #include "analysis/Lint.h"
 
 #include "analysis/Obligations.h"
+#include "core/Mover.h"
 #include "core/Spec.h"
 #include "lang/Ast.h"
 #include "sim/Scenario.h"
@@ -97,8 +98,8 @@ struct LintContext {
   size_t Line = 0; // Current thread's line.
   const std::vector<MethodSig> *Sigs = nullptr;
   const SequentialSpec *Spec = nullptr;
-  /// Union of reachable spec states (empty when the enumeration
-  /// overflowed its cap, which disables the never-enabled check).
+  /// Union of reachable spec states (empty when the reachable family is
+  /// not exact, which disables the never-enabled check).
   std::vector<State> Reachable;
   LintReport *Report = nullptr;
 
@@ -126,25 +127,18 @@ struct LintContext {
   }
 };
 
-/// Enumerate the union of reachable spec states under the probe alphabet,
-/// up to \p Cap states.  Returns empty on overflow.
-std::vector<State> reachableStates(const SequentialSpec &Spec, size_t Cap) {
-  const std::vector<Operation> &Probes = Spec.probes();
+/// The member states of \p Spec's reachable family (core/Mover.h): every
+/// state some probe log reaches.  Empty when the family is not exact.
+std::vector<State> reachableStates(const SequentialSpec &Spec,
+                                   MoverLimits Limits) {
+  MoverChecker Movers(Spec, Limits);
+  const ReachableFamily &F = Movers.family();
+  if (!F.Exact)
+    return {};
   std::set<State> Seen;
-  std::vector<State> Frontier = Spec.initialStates();
-  for (State &S : Frontier)
-    Seen.insert(S);
-  while (!Frontier.empty()) {
-    std::vector<State> Next;
-    for (const State &S : Frontier)
-      for (const Operation &Op : Probes)
-        for (State &Succ : Spec.successors(S, Op))
-          if (Seen.insert(Succ).second) {
-            if (Seen.size() > Cap)
-              return {};
-            Next.push_back(std::move(Succ));
-          }
-    Frontier = std::move(Next);
+  for (StateSetId Id : F.Sets) {
+    const std::vector<State> &States = Spec.setOf(Id).states();
+    Seen.insert(States.begin(), States.end());
   }
   return std::vector<State>(Seen.begin(), Seen.end());
 }
@@ -299,7 +293,7 @@ LintReport pushpull::lintScenarioText(const std::string &FileName,
   std::vector<MethodSig> Sigs = S.Spec->methods();
   Ctx.Sigs = &Sigs;
   Ctx.Spec = S.Spec.get();
-  Ctx.Reachable = reachableStates(*S.Spec, /*Cap=*/4096);
+  Ctx.Reachable = reachableStates(*S.Spec, S.Movers);
 
   // Directive-level checks the parser defers to run time.
   const std::vector<std::string> &Engines = allEngineNames();

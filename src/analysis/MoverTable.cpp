@@ -53,12 +53,11 @@ static std::string probeName(const Operation &Op) {
   return S;
 }
 
-MoverTable MoverTable::build(const SequentialSpec &Spec, MoverChecker &Movers,
-                             size_t MaxReachableSets) {
+MoverTable MoverTable::build(const SequentialSpec &Spec,
+                             MoverChecker &Movers) {
   MoverTable T;
-  CommutativityAnalysis A(Spec, Movers, MaxReachableSets);
-  T.Probes = A.probes();
-  const ReachableFamily &F = A.family();
+  T.Probes = Spec.probes();
+  const ReachableFamily &F = Movers.family();
   T.FamilyExact = F.Exact;
   T.FamilySize = F.Sets.size();
 
@@ -66,8 +65,9 @@ MoverTable MoverTable::build(const SequentialSpec &Spec, MoverChecker &Movers,
   T.Entries.reserve(N * (N + 1) / 2);
   for (size_t I = 0; I < N; ++I)
     for (size_t J = I; J < N; ++J)
-      T.Entries.push_back({I, J, A.classify(I, J)});
-  T.CertChecks = A.certChecks();
+      T.Entries.push_back({I, J, classifyPair(Spec, Movers, I, J)});
+  // certifyPair replays one certificate per pair over an exact family.
+  T.CertChecks = F.Exact ? T.Entries.size() : 0;
 
   // Method-pair summaries with argument-predicate refinement.  The
   // identical-instance diagonal (I == J) is excluded: [[S.A.A]] trivially
@@ -161,54 +161,42 @@ std::string MoverTable::toString() const {
 
 CommutativityDB::CommutativityDB(const SequentialSpec &Spec,
                                  size_t MaxReachableSets)
-    : Spec(Spec), Movers(Spec, MoverLimits{MaxReachableSets}),
-      Analysis(Spec, Movers, MaxReachableSets) {
-  const std::vector<Operation> &Probes = Analysis.probes();
-  for (size_t I = 0; I < Probes.size(); ++I)
-    ProbeOf.emplace(Spec.table().opKey(Probes[I]), I);
-}
-
-int64_t CommutativityDB::probeIndexOf(OpKeyId Key) const {
-  auto It = ProbeOf.find(Key);
-  return It == ProbeOf.end() ? -1 : static_cast<int64_t>(It->second);
+    : Spec(Spec), Movers(Spec, MoverLimits{MaxReachableSets}) {
+  const std::vector<OpKeyId> &Keys = Spec.probeKeys();
+  for (size_t I = 0; I < Keys.size(); ++I)
+    ProbeOf.emplace(Keys[I], I);
 }
 
 bool CommutativityDB::stronglyCommute(OpKeyId A, OpKeyId B) const {
-  int64_t IA = probeIndexOf(A), IB = probeIndexOf(B);
-  if (IA < 0 || IB < 0) {
-    Misses.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  bool Ans;
-  {
-    std::lock_guard<std::mutex> Lock(Mu);
-    Ans = Analysis.stronglyCommutes(static_cast<size_t>(IA),
-                                    static_cast<size_t>(IB), nullptr);
-  }
+  auto IA = ProbeOf.find(A), IB = ProbeOf.find(B);
+  bool Ans = IA != ProbeOf.end() && IB != ProbeOf.end() &&
+             strongByProbeIndex(IA->second, IB->second);
   (Ans ? Hits : Misses).fetch_add(1, std::memory_order_relaxed);
   return Ans;
 }
 
 uint64_t CommutativityDB::certChecks() const {
   std::lock_guard<std::mutex> Lock(Mu);
-  return Analysis.certChecks();
+  return CertChecks;
 }
 
 bool CommutativityDB::strongByProbeIndex(size_t AIdx, size_t BIdx,
                                          PairCertificate *CertOut) const {
+  uint64_t Key = (static_cast<uint64_t>(std::min(AIdx, BIdx)) << 32) |
+                 std::max(AIdx, BIdx);
   std::lock_guard<std::mutex> Lock(Mu);
-  return Analysis.stronglyCommutes(AIdx, BIdx, CertOut);
-}
-
-bool CommutativityDB::certificate(OpKeyId A, OpKeyId B,
-                                  PairCertificate &Out) const {
-  int64_t IA = probeIndexOf(A), IB = probeIndexOf(B);
-  if (IA < 0 || IB < 0)
-    return false;
-  std::lock_guard<std::mutex> Lock(Mu);
-  Analysis.stronglyCommutes(static_cast<size_t>(IA), static_cast<size_t>(IB),
-                            &Out);
-  return true;
+  auto It = Memo.find(Key);
+  if (It == Memo.end()) {
+    const ReachableFamily &F = Movers.family();
+    PairEntry E;
+    E.Strong = certifyPair(Spec, F, AIdx, BIdx, E.Cert);
+    if (F.Exact)
+      ++CertChecks;
+    It = Memo.emplace(Key, std::move(E)).first;
+  }
+  if (CertOut)
+    *CertOut = It->second.Cert;
+  return It->second.Strong;
 }
 
 namespace {
@@ -244,28 +232,49 @@ bool collectCalls(const CodePtr &C, std::vector<const MethodExpr *> &Out,
   return true;
 }
 
-/// All probe indices whose (object, method, literal args) match \p Call —
-/// one per result variant for result-carrying methods.  Matching is over
-/// the call surface only: which result a run observes is dynamic, so every
-/// variant is an instance the proof must cover.
-std::vector<size_t> matchingProbes(const MethodExpr &Call,
-                                   const std::vector<Operation> &Probes) {
-  std::vector<size_t> Out;
-  for (size_t I = 0; I < Probes.size(); ++I) {
-    const ResolvedCall &P = Probes[I].Call;
-    if (P.Object != Call.Object || P.Method != Call.Method ||
-        P.Args.size() != Call.Args.size())
-      continue;
-    bool Match = true;
-    for (size_t K = 0; K < P.Args.size(); ++K)
-      if (P.Args[K] != std::get<Value>(Call.Args[K])) {
-        Match = false;
-        break;
+/// Does probe call \p P match the literal call \p Call?
+bool callMatches(const ResolvedCall &P, const MethodExpr &Call) {
+  if (P.Object != Call.Object || P.Method != Call.Method ||
+      P.Args.size() != Call.Args.size())
+    return false;
+  for (size_t K = 0; K < P.Args.size(); ++K)
+    if (P.Args[K] != std::get<Value>(Call.Args[K]))
+      return false;
+  return true;
+}
+
+/// Resolve every call of one thread's transactions to the probe instances
+/// of \p Spec it may denote: each matching probe, one per result variant
+/// for result-carrying methods (which result a run observes is dynamic, so
+/// every variant is an instance a proof must cover).  \p Out receives the
+/// distinct instances, sorted.  False, with \p Why naming the call, when a
+/// call has a non-literal argument or matches no probe instance.
+bool resolveThread(const std::vector<CodePtr> &Txns,
+                   const SequentialSpec &Spec, std::vector<size_t> &Out,
+                   std::string &Why) {
+  std::vector<const MethodExpr *> Calls;
+  for (const CodePtr &Tx : Txns)
+    if (!collectCalls(Tx, Calls, Why))
+      return false;
+  const std::vector<Operation> &Probes = Spec.probes();
+  std::vector<bool> Seen(Probes.size(), false);
+  for (const MethodExpr *Call : Calls) {
+    bool Matched = false;
+    for (size_t I = 0; I < Probes.size(); ++I)
+      if (callMatches(Probes[I].Call, *Call)) {
+        Matched = true;
+        Seen[I] = true;
       }
-    if (Match)
-      Out.push_back(I);
+    if (!Matched) {
+      Why = "call '" + Call->toString() +
+            "' matches no probe instance of spec '" + Spec.name() + "'";
+      return false;
+    }
   }
-  return Out;
+  for (size_t I = 0; I < Probes.size(); ++I)
+    if (Seen[I])
+      Out.push_back(I);
+  return true;
 }
 
 } // namespace
@@ -274,23 +283,14 @@ bool CommutativityDB::coversProgram(
     const std::vector<std::vector<CodePtr>> &Threads,
     std::string *WhyNot) const {
   std::string Why;
-  for (const std::vector<CodePtr> &Txns : Threads)
-    for (const CodePtr &Tx : Txns) {
-      std::vector<const MethodExpr *> Calls;
-      if (!collectCalls(Tx, Calls, Why)) {
-        if (WhyNot)
-          *WhyNot = Why;
-        return false;
-      }
-      for (const MethodExpr *Call : Calls)
-        if (matchingProbes(*Call, Analysis.probes()).empty()) {
-          if (WhyNot)
-            *WhyNot = "call '" + Call->toString() +
-                      "' matches no probe instance of spec '" + Spec.name() +
-                      "'";
-          return false;
-        }
+  for (const std::vector<CodePtr> &Txns : Threads) {
+    std::vector<size_t> Instances;
+    if (!resolveThread(Txns, Spec, Instances, Why)) {
+      if (WhyNot)
+        *WhyNot = Why;
+      return false;
     }
+  }
   return true;
 }
 
@@ -331,29 +331,9 @@ ProveResult pushpull::proveSerializable(const Scenario &S,
   std::vector<std::vector<size_t>> InstOf(S.Threads.size());
   std::unordered_set<size_t> AllInstances;
   for (size_t T = 0; T < S.Threads.size(); ++T) {
-    std::string Why;
-    std::vector<const MethodExpr *> Calls;
-    for (const CodePtr &Tx : S.Threads[T])
-      if (!collectCalls(Tx, Calls, Why)) {
-        R.Detail = Why;
-        return R;
-      }
-    std::unordered_set<size_t> Seen;
-    for (const MethodExpr *Call : Calls) {
-      std::vector<size_t> M = matchingProbes(*Call, Probes);
-      if (M.empty()) {
-        R.Detail = "call '" + Call->toString() +
-                   "' matches no probe instance of spec '" + S.Spec->name() +
-                   "'";
-        return R;
-      }
-      for (size_t I : M)
-        if (Seen.insert(I).second) {
-          InstOf[T].push_back(I);
-          AllInstances.insert(I);
-        }
-    }
-    std::sort(InstOf[T].begin(), InstOf[T].end());
+    if (!resolveThread(S.Threads[T], *S.Spec, InstOf[T], R.Detail))
+      return R;
+    AllInstances.insert(InstOf[T].begin(), InstOf[T].end());
   }
   R.Instances = AllInstances.size();
 

@@ -6,19 +6,22 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The consumer-facing layer over analysis/Commutativity.h:
+/// The consumer-facing layer over analysis/Commutativity.h.  Both tables
+/// certify pairs with certifyPair over the family of a MoverChecker they
+/// are given or own (MoverChecker::family()), so the certificates and the
+/// semantic mover check quantify over one and the same reachable family:
 ///
 ///   * MoverTable — the eager NxN classification of a specification's
 ///     probe alphabet into Lipton mover classes and certified
-///     strong-commutation verdicts, with per-method-pair predicate
-///     summaries ("Map.put x Map.put: commutes iff distinct first
-///     argument").  This is what `ppcheck --scope movers`-style reporting
+///     strong-commutation verdicts (classifyPair once per pair), with
+///     per-method-pair predicate summaries ("Map.put x Map.put: commutes
+///     iff distinct first argument").  This is what `ppcheck --movers`
 ///     and the test battery consume.
 ///
 ///   * CommutativityDB — the lazy, thread-safe CommutativityOracle the
 ///     explorer and pprun consume (ExplorerConfig::CommutDB).  Verdicts
-///     are computed on first query, certified, and memoized; unknown op
-///     keys answer false (sound).  coversProgram() decides whether a
+///     are certified on first query and kept in the one pair memo; unknown
+///     op keys answer false (sound).  coversProgram() decides whether a
 ///     scenario's call surface maps entirely into the probe alphabet —
 ///     the precondition for the reachable-family certificates to cover
 ///     every state the explorer can place the oracle in.
@@ -88,11 +91,11 @@ public:
     PairVerdict V;
   };
 
-  /// Build the full table for \p Spec.  Every Strong verdict in the
-  /// result was certified and independently re-verified; certChecks()
-  /// counts the replays.
-  static MoverTable build(const SequentialSpec &Spec, MoverChecker &Movers,
-                          size_t MaxReachableSets = 4096);
+  /// Build the full table for \p Spec over Movers.family() (its bound is
+  /// the checker's MoverLimits).  Every Strong verdict in the result was
+  /// certified and independently re-verified; certChecks() counts the
+  /// replays.
+  static MoverTable build(const SequentialSpec &Spec, MoverChecker &Movers);
 
   const std::vector<Operation> &probes() const { return Probes; }
   const std::vector<Entry> &entries() const { return Entries; }
@@ -116,8 +119,8 @@ private:
 };
 
 /// Thread-safe lazy oracle over one specification's probe alphabet.
-/// Owns its MoverChecker and CommutativityAnalysis; verdicts are
-/// certified on first query and memoized.  See core/Commut.h for the
+/// Owns the MoverChecker whose family() its certificates quantify over,
+/// and the one memo of certified pair verdicts.  See core/Commut.h for the
 /// soundness contract.
 class CommutativityDB : public CommutativityOracle {
 public:
@@ -144,28 +147,27 @@ public:
   bool coversProgram(const std::vector<std::vector<CodePtr>> &Threads,
                      std::string *WhyNot = nullptr) const;
 
-  /// The certificate behind the pair of probe keys (for prover witness
-  /// output).  Returns false for unknown keys or uncomputed pairs.
-  bool certificate(OpKeyId A, OpKeyId B, PairCertificate &Out) const;
-
-  /// Probe index of an interned op key; -1 when the key is not a probe
-  /// instance.
-  int64_t probeIndexOf(OpKeyId Key) const;
-
-  const std::vector<Operation> &probes() const { return Analysis.probes(); }
-  const SequentialSpec &spec() const { return Spec; }
+  const std::vector<Operation> &probes() const { return Spec.probes(); }
 
   /// Strong query by probe index (the prover's path; same certification
   /// and memoization as stronglyCommute, without the key lookup).
+  /// \p CertOut, if non-null, receives the pair's certificate.
   bool strongByProbeIndex(size_t AIdx, size_t BIdx,
                           PairCertificate *CertOut = nullptr) const;
 
 private:
   const SequentialSpec &Spec;
-  mutable MoverChecker Movers;
-  mutable CommutativityAnalysis Analysis;
-  mutable std::mutex Mu; ///< Guards Analysis (and Movers) only.
   std::unordered_map<OpKeyId, size_t> ProbeOf;
+  mutable std::mutex Mu; ///< Guards Movers, Memo and CertChecks.
+  mutable MoverChecker Movers;
+  /// Unordered-pair memo: (min << 32 | max) -> verified strong verdict
+  /// and its certificate.
+  struct PairEntry {
+    bool Strong = false;
+    PairCertificate Cert;
+  };
+  mutable std::unordered_map<uint64_t, PairEntry> Memo;
+  mutable uint64_t CertChecks = 0;
   mutable std::atomic<uint64_t> Hits{0}, Misses{0};
 };
 

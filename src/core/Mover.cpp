@@ -2,7 +2,7 @@
 
 #include "core/Mover.h"
 
-#include <deque>
+#include <algorithm>
 #include <unordered_set>
 
 using namespace pushpull;
@@ -11,39 +11,47 @@ MoverChecker::MoverChecker(const SequentialSpec &Spec, MoverLimits Limits,
                            PrecongruenceLimits PreLimits)
     : Spec(Spec), Limits(Limits), Pre(Spec, PreLimits) {}
 
-void MoverChecker::ensureReachable() {
-  if (ReachableComputed)
-    return;
-  ReachableComputed = true;
-  ReachableIsExact = true;
+const ReachableFamily &MoverChecker::family() {
+  if (FamilyComputed)
+    return Fam;
+  FamilyComputed = true;
 
-  std::unordered_set<StateSetId> Seen;
-  std::deque<StateSetId> Frontier;
   const std::vector<Operation> &Probes = Spec.probes();
   const std::vector<OpKeyId> &ProbeKeys = Spec.probeKeys();
-
+  std::unordered_set<StateSetId> Seen;
   StateSetId Init = Spec.initialId();
   Seen.insert(Init);
-  Reachable.push_back(Init);
-  Frontier.push_back(Init);
+  Fam.Sets.push_back(Init);
+  Fam.Parent.push_back(-1);
+  Fam.ParentOp.push_back(0);
 
-  while (!Frontier.empty()) {
-    if (Reachable.size() >= Limits.MaxReachableSets) {
-      ReachableIsExact = false;
-      break;
-    }
-    StateSetId S = Frontier.front();
-    Frontier.pop_front();
-    for (size_t I = 0; I < Probes.size(); ++I) {
-      StateSetId N = Spec.applyOpId(S, Probes[I], ProbeKeys[I]);
-      if (Spec.table().setEmpty(N))
+  Fam.Exact = true;
+  for (size_t Head = 0; Head < Fam.Sets.size(); ++Head)
+    for (size_t Pi = 0; Pi < Probes.size(); ++Pi) {
+      StateSetId N = Spec.applyOpId(Fam.Sets[Head], Probes[Pi], ProbeKeys[Pi]);
+      if (Spec.table().setEmpty(N) || !Seen.insert(N).second)
         continue;
-      if (!Seen.insert(N).second)
-        continue;
-      Reachable.push_back(N);
-      Frontier.push_back(N);
+      if (Fam.Sets.size() >= Limits.MaxReachableSets) {
+        // A new member exists past the bound: the family is a prefix.
+        Fam.Exact = false;
+        return Fam;
+      }
+      Fam.Sets.push_back(N);
+      Fam.Parent.push_back(static_cast<int32_t>(Head));
+      Fam.ParentOp.push_back(static_cast<uint32_t>(Pi));
     }
-  }
+  return Fam;
+}
+
+std::vector<Operation>
+pushpull::witnessPrefix(const ReachableFamily &F, size_t Index,
+                        const std::vector<Operation> &Probes) {
+  std::vector<Operation> Prefix;
+  for (int64_t I = static_cast<int64_t>(Index); I > 0;
+       I = F.Parent[static_cast<size_t>(I)])
+    Prefix.push_back(Probes[F.ParentOp[static_cast<size_t>(I)]]);
+  std::reverse(Prefix.begin(), Prefix.end());
+  return Prefix;
 }
 
 Tri MoverChecker::leftMover(const Operation &A, const Operation &B) {
@@ -65,9 +73,9 @@ Tri MoverChecker::leftMoverSemantic(const Operation &A, const Operation &B) {
   }
   ++MemoMisses;
 
-  ensureReachable();
+  const ReachableFamily &F = family();
   Tri Out = Tri::Yes;
-  for (StateSetId S : Reachable) {
+  for (StateSetId S : F.Sets) {
     StateSetId AB = Spec.applyOpId(Spec.applyOpId(S, A, KA), B, KB);
     if (Spec.table().setEmpty(AB))
       continue; // l.A.B not allowed from here: vacuously fine.
@@ -82,41 +90,9 @@ Tri MoverChecker::leftMoverSemantic(const Operation &A, const Operation &B) {
   }
   // If the enumeration was truncated, a Yes only covers the enumerated
   // prefix of reachable logs.
-  if (Out == Tri::Yes && !ReachableIsExact)
+  if (Out == Tri::Yes && !F.Exact)
     Out = Tri::Unknown;
 
   Memo.emplace(Key, Out);
   return Out;
-}
-
-Tri MoverChecker::leftMoverAll(const std::vector<Operation> &As,
-                               const Operation &B) {
-  Tri Out = Tri::Yes;
-  for (const Operation &A : As) {
-    Out = triAnd(Out, leftMover(A, B));
-    if (Out == Tri::No)
-      return Out;
-  }
-  return Out;
-}
-
-Tri MoverChecker::leftMoverOverAll(const Operation &A,
-                                   const std::vector<Operation> &Bs) {
-  Tri Out = Tri::Yes;
-  for (const Operation &B : Bs) {
-    Out = triAnd(Out, leftMover(A, B));
-    if (Out == Tri::No)
-      return Out;
-  }
-  return Out;
-}
-
-bool MoverChecker::reachableExact() {
-  ensureReachable();
-  return ReachableIsExact;
-}
-
-size_t MoverChecker::reachableCount() {
-  ensureReachable();
-  return Reachable.size();
 }

@@ -24,11 +24,17 @@
 ///
 /// Executable form: the universal quantification over logs l becomes a
 /// quantification over the *reachable denotations* of the specification
-/// (the machine only ever needs moverness at reachable logs).  Reachable
-/// state sets are enumerated once, breadth-first under the probe alphabet,
-/// up to a configurable bound; each is then checked with the precongruence
-/// engine.  A spec's algebraic leftMoverHint short-circuits the semantic
-/// check when it has an opinion (boosting's "different keys commute").
+/// (the machine only ever needs moverness at reachable logs).  That
+/// probe-closed reachable family is enumerated once per checker,
+/// breadth-first under the probe alphabet with the discovery edge of every
+/// member, and stops at exactly MoverLimits::MaxReachableSets members; it
+/// is exact only when the frontier drains within that bound.  The family is
+/// the one quantification domain of every commutation check: the semantic
+/// mover check below runs the precongruence engine at each member, the
+/// strong-commutation certificates of analysis/Commutativity.h sweep it,
+/// and the scenario linter reads its member states.  A spec's algebraic
+/// leftMoverHint short-circuits the semantic check when it has an opinion
+/// (boosting's "different keys commute").
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,6 +44,7 @@
 #include "core/Precongruence.h"
 #include "core/Spec.h"
 
+#include <cstdint>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -46,10 +53,28 @@ namespace pushpull {
 
 /// Bounds for reachable-denotation enumeration.
 struct MoverLimits {
-  /// Maximum number of distinct reachable state sets to enumerate.  When
-  /// the frontier is exhausted before the bound, the enumeration is exact.
+  /// Maximum number of distinct reachable state sets to enumerate.  The
+  /// enumeration is exact only when the frontier drains within the bound.
   size_t MaxReachableSets = 4096;
 };
+
+/// The probe-closed reachable family of denotations: every state set
+/// reachable from the initial denotation under a sequence of probe
+/// operations, in breadth-first discovery order.  Sets[0] is the initial
+/// denotation; Parent/ParentOp label the discovery edge of every other
+/// member, so each member has a minimal witness prefix.
+struct ReachableFamily {
+  std::vector<StateSetId> Sets;
+  std::vector<int32_t> Parent;    ///< Index into Sets; -1 for the root.
+  std::vector<uint32_t> ParentOp; ///< Probe index of the discovery edge.
+  /// The frontier drained within the bound: the family is the whole
+  /// reachable space and sweeps over it are proofs, not samples.
+  bool Exact = false;
+};
+
+/// The minimal probe prefix (by BFS discovery) denoting F.Sets[\p Index].
+std::vector<Operation> witnessPrefix(const ReachableFamily &F, size_t Index,
+                                     const std::vector<Operation> &Probes);
 
 /// Decision procedure for the left-mover relation, with memoization.
 class MoverChecker {
@@ -62,32 +87,25 @@ public:
   /// semantically over all reachable denotations.
   Tri leftMover(const Operation &A, const Operation &B);
 
-  /// Lifted form: A <| b for every A in \p As.
-  Tri leftMoverAll(const std::vector<Operation> &As, const Operation &B);
-
-  /// Lifted form: a <| B for every B in \p Bs.
-  Tri leftMoverOverAll(const Operation &A, const std::vector<Operation> &Bs);
-
   /// Force the semantic check (ignore hints) — used by tests that
-  /// cross-validate hints, and by the E8 ablation bench.
+  /// cross-validate hints, and by the E8 ablation bench.  When the family
+  /// is not exact, a Yes is downgraded to Unknown.
   Tri leftMoverSemantic(const Operation &A, const Operation &B);
 
-  /// Was the reachable-set enumeration exhaustive (frontier emptied within
-  /// the bound)?  When false, semantic Yes answers are downgraded to
-  /// Unknown.
-  bool reachableExact();
-
-  /// Number of reachable state sets enumerated.
-  size_t reachableCount();
+  /// The probe-closed reachable family, enumerated on first use.  Members
+  /// past MoverLimits::MaxReachableSets are never added; Exact is set only
+  /// when the frontier drains within the bound.  The reference is stable
+  /// for the checker's lifetime.
+  const ReachableFamily &family();
 
   /// Decisions served from the memo table vs computed.
   uint64_t memoHits() const { return MemoHits; }
   uint64_t memoMisses() const { return MemoMisses; }
 
   /// Reachable sets enumerated so far, without forcing the enumeration
-  /// (0 when no semantic query has run yet).  For stats reporting.
+  /// (0 when the family was never asked for).  For stats reporting.
   size_t reachableComputedCount() const {
-    return ReachableComputed ? Reachable.size() : 0;
+    return FamilyComputed ? Fam.Sets.size() : 0;
   }
 
   const MoverLimits &limits() const { return Limits; }
@@ -96,15 +114,12 @@ public:
   const PrecongruenceChecker &precongruence() const { return Pre; }
 
 private:
-  void ensureReachable();
-
   const SequentialSpec &Spec;
   MoverLimits Limits;
   PrecongruenceChecker Pre;
 
-  bool ReachableComputed = false;
-  bool ReachableIsExact = false;
-  std::vector<StateSetId> Reachable;
+  bool FamilyComputed = false;
+  ReachableFamily Fam;
 
   /// (OpKeyId of A << 32 | OpKeyId of B) -> verdict.  Moverness depends
   /// on the call and its result, never on the id or the thread stacks, so

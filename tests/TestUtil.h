@@ -37,7 +37,7 @@ inline std::vector<std::string> hintDisagreements(const SequentialSpec &S) {
   std::vector<std::string> Out;
   MoverChecker Movers(S);
   const auto *Keyed = dynamic_cast<const KeyedSpec *>(&S);
-  if (Keyed && !Movers.reachableExact())
+  if (Keyed && !Movers.family().Exact)
     Out.push_back("reachable family inexact: nothing decided");
   auto OneKey = [&](const Operation &Op) {
     return Keyed->ownsKey(Op.Call) && Op.Call.Method != "transfer";

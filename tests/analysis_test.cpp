@@ -387,6 +387,16 @@ TEST(Lint, GoldensFireTheirCheck) {
   }
 }
 
+TEST(Lint, NeverEnabledNeedsAnExactFamily) {
+  // put(0, 9) stores a value outside vals=4 and can never fire.  But this
+  // map has more reachable sets than the bound, so its family is only a
+  // prefix of the reachable space: the linter cannot tell a call that
+  // never fires from one that fires past the bound, and stays silent.
+  LintReport R = lintScenarioText("big.pp", "spec map name=m keys=8 vals=4\n"
+                                            "thread tx { m.put(0, 9) }\n");
+  EXPECT_TRUE(R.clean()) << R.render();
+}
+
 TEST(Lint, DiagnosticsRenderMachineReadably) {
   LintReport R = lintScenarioText(
       "x.pp", "spec register name=mem regs=1 vals=2\nengine warp\n"

@@ -1,9 +1,9 @@
 //===- tests/mover_test.cpp - Definition 4.1 --------------------------------===//
 //
 // The left-mover relation over logs: the Section 5.1 mnemonic (order in
-// the expression = order in the real log), lifted forms, memoization, the
-// paper's Section 2 boosting example (hashtable puts on distinct keys),
-// and the reachability-bounded Unknown behaviour.
+// the expression = order in the real log), memoization, the paper's
+// Section 2 boosting example (hashtable puts on distinct keys), and the
+// reachable family's one bound rule with its Unknown behaviour.
 //
 //===----------------------------------------------------------------------===//
 
@@ -58,17 +58,6 @@ TEST(Mover, SemanticMatchesMnemonicOnRegisters) {
   EXPECT_EQ(Movers.leftMoverSemantic(wr(0, 1), rd(0, 1)), Tri::No);
 }
 
-TEST(Mover, LiftedForms) {
-  RegisterSpec S("mem", 2, 2);
-  MoverChecker Movers(S);
-  std::vector<Operation> Others = {wr(1, 1, 1), rd(1, 1, 2)};
-  // Both others are on register 1; they move around register-0 ops.
-  EXPECT_EQ(Movers.leftMoverAll(Others, wr(0, 1, 3)), Tri::Yes);
-  EXPECT_EQ(Movers.leftMoverOverAll(wr(0, 1, 3), Others), Tri::Yes);
-  Others.push_back(rd(0, 0, 4));
-  EXPECT_EQ(Movers.leftMoverAll(Others, wr(0, 1, 3)), Tri::No);
-}
-
 TEST(Mover, MemoizationByCallAndResult) {
   RegisterSpec S("mem", 1, 2);
   MoverChecker Movers(S);
@@ -93,9 +82,30 @@ TEST(Mover, HintShortCircuitsSemantic) {
 TEST(Mover, ReachableEnumerationExactOnSmallSpec) {
   RegisterSpec S("mem", 2, 2);
   MoverChecker Movers(S);
-  EXPECT_TRUE(Movers.reachableExact());
+  EXPECT_TRUE(Movers.family().Exact);
   // 2 registers x 2 values = 4 states, all reachable (as singletons).
-  EXPECT_EQ(Movers.reachableCount(), 4u);
+  EXPECT_EQ(Movers.family().Sets.size(), 4u);
+}
+
+TEST(Mover, FamilyExactlyAtTheBoundIsExact) {
+  // The frontier drains with exactly MaxReachableSets members: nothing
+  // lies past the bound, so the family is the whole reachable space.
+  RegisterSpec S("mem", 2, 2);
+  MoverChecker Movers(S, MoverLimits{4});
+  EXPECT_EQ(Movers.family().Sets.size(), 4u);
+  EXPECT_TRUE(Movers.family().Exact);
+  EXPECT_EQ(Movers.leftMoverSemantic(rd(0, 1), wr(0, 1)), Tri::Yes)
+      << "an exact family keeps a semantic Yes";
+}
+
+TEST(Mover, FamilyStopsExactlyAtTheBound) {
+  // fig2_boosting.pp's map: more reachable sets than the default bound.
+  MapSpec S("map", 8, 4);
+  MoverChecker Movers(S);
+  ASSERT_EQ(Movers.limits().MaxReachableSets, 4096u);
+  EXPECT_EQ(Movers.family().Sets.size(), 4096u);
+  EXPECT_FALSE(Movers.family().Exact);
+  EXPECT_EQ(Movers.reachableComputedCount(), 4096u);
 }
 
 TEST(Mover, TruncatedEnumerationYieldsUnknown) {
@@ -103,7 +113,7 @@ TEST(Mover, TruncatedEnumerationYieldsUnknown) {
   MoverLimits Limits;
   Limits.MaxReachableSets = 2;
   MoverChecker Movers(S, Limits);
-  EXPECT_FALSE(Movers.reachableExact());
+  EXPECT_FALSE(Movers.family().Exact);
   // A pair the hint cannot answer: same register, needs semantics.
   EXPECT_EQ(Movers.leftMoverSemantic(rd(0, 0), wr(0, 1)), Tri::No)
       << "refutations inside the truncated prefix are still exact";
