@@ -57,11 +57,11 @@ pushpull::verifyStrongCertificate(const SequentialSpec &Spec,
     R.Detail = "not a diamond certificate";
     return R;
   }
-  const std::vector<StateSetId> &Fam = Cert.Family;
-  if (Fam.empty()) {
+  if (!Cert.Family || Cert.Family->empty()) {
     R.Detail = "empty family";
     return R;
   }
+  const std::vector<StateSetId> &Fam = *Cert.Family;
   for (size_t I = 1; I < Fam.size(); ++I)
     if (Fam[I - 1] >= Fam[I]) {
       R.Detail = "family not sorted/unique";
@@ -136,8 +136,7 @@ bool pushpull::certifyPair(const SequentialSpec &Spec,
   });
   if (Fail == F.Sets.end()) {
     Cert.Kind = CertKind::StrongDiamond;
-    Cert.Family = F.Sets;
-    std::sort(Cert.Family.begin(), Cert.Family.end());
+    Cert.Family = F.Sorted;
     // Never trust the sweep: the verdict is the *checker's*.
     return verifyStrongCertificate(Spec, A, B, Probes, Cert).Ok;
   }

@@ -54,6 +54,7 @@
 #include "core/Mover.h"
 #include "core/Spec.h"
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -80,8 +81,9 @@ enum class CertKind {
 /// verdict.
 struct PairCertificate {
   CertKind Kind = CertKind::Unknown;
-  /// StrongDiamond: the certified family, sorted ascending (checker input).
-  std::vector<StateSetId> Family;
+  /// StrongDiamond: the certified family, sorted ascending (checker
+  /// input).  Shared with the reachable family it was certified over.
+  std::shared_ptr<const std::vector<StateSetId>> Family;
   /// Counterexample: minimal probe prefix to a diamond-failing state set.
   std::vector<Operation> Witness;
 };

@@ -40,6 +40,10 @@ const ReachableFamily &MoverChecker::family() {
       Fam.Parent.push_back(static_cast<int32_t>(Head));
       Fam.ParentOp.push_back(static_cast<uint32_t>(Pi));
     }
+  std::vector<StateSetId> Sorted = Fam.Sets;
+  std::sort(Sorted.begin(), Sorted.end());
+  Fam.Sorted =
+      std::make_shared<const std::vector<StateSetId>>(std::move(Sorted));
   return Fam;
 }
 

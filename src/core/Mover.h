@@ -45,6 +45,7 @@
 #include "core/Spec.h"
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -70,6 +71,9 @@ struct ReachableFamily {
   /// The frontier drained within the bound: the family is the whole
   /// reachable space and sweeps over it are proofs, not samples.
   bool Exact = false;
+  /// Sets sorted ascending, built once when the family is exact (null
+  /// otherwise) and shared by every StrongDiamond certificate over it.
+  std::shared_ptr<const std::vector<StateSetId>> Sorted;
 };
 
 /// The minimal probe prefix (by BFS discovery) denoting F.Sets[\p Index].

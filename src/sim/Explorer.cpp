@@ -4,6 +4,7 @@
 
 #include "core/Invariants.h"
 #include "lang/Printer.h"
+#include "support/KeyTable.h"
 
 #include <algorithm>
 #include <atomic>
@@ -11,6 +12,7 @@
 #include <cstring>
 #include <mutex>
 #include <optional>
+#include <string_view>
 #include <thread>
 
 using namespace pushpull;
@@ -140,19 +142,11 @@ void enumerateCandidates(const PushPullMachine &M,
   }
 }
 
-/// The counters expandReduced accounts into (plain references so the
-/// sequential engine passes report fields and workers pass locals).
-struct ExpandCounters {
-  uint64_t &RuleApplications;
-  uint64_t &RejectedAttempts;
-  uint64_t &FiringsPruned;
-  uint64_t &PersistentCuts;
-};
-
-/// Expand the successors of \p M under the configured reduction.  \p Emit
-/// receives each successor machine together with its sleep set.  Shared
-/// by the sequential and parallel engines so their enumeration (and thus
-/// their visited closure) is identical per reduction mode.
+/// Expand the successors of \p M under the configured reduction, counting
+/// into \p R.  \p Emit receives each successor machine together with its
+/// sleep set.  Shared by the sequential and parallel searches so their
+/// enumeration (and thus their visited closure) is identical per
+/// reduction mode.
 ///
 /// Sleep-set protocol: candidates are explored in canonical order; a
 /// candidate already in the accumulated sleep set (the inherited set plus
@@ -166,7 +160,7 @@ struct ExpandCounters {
 /// reorders another thread's local log or removes global entries).
 template <typename Emit>
 void expandReduced(const PushPullMachine &M, const ExplorerConfig &Config,
-                   const SleepSet &Sleep, ExpandCounters Ctr,
+                   const SleepSet &Sleep, ExplorerReport &R,
                    Emit &&EmitNext) {
   Arena::Scope CandScope(CandidateArena);
   ArenaVec<Candidate> Cands(CandidateArena);
@@ -175,8 +169,8 @@ void expandReduced(const PushPullMachine &M, const ExplorerConfig &Config,
   if (usesPersistentSets(Config.Reduce)) {
     size_t Dropped = restrictToPersistent(Cands);
     if (Dropped) {
-      Ctr.FiringsPruned += Dropped;
-      ++Ctr.PersistentCuts;
+      R.FiringsPruned += Dropped;
+      ++R.PersistentCuts;
     }
   }
 
@@ -192,13 +186,13 @@ void expandReduced(const PushPullMachine &M, const ExplorerConfig &Config,
   std::optional<PushPullMachine> Scratch;
   for (const Candidate &C : Cands) {
     if (UseSleep && Accum.contains(C.F)) {
-      ++Ctr.FiringsPruned;
+      ++R.FiringsPruned;
       continue;
     }
     if (!Scratch)
       Scratch.emplace(M);
     if (applyFiring(*Scratch, C.F)) {
-      ++Ctr.RuleApplications;
+      ++R.RuleApplications;
       SleepSet ChildSleep =
           UseSleep ? Accum.survivorsAfter(C, Config.CommutDB) : SleepSet();
       EmitNext(std::move(*Scratch), std::move(ChildSleep));
@@ -207,10 +201,86 @@ void expandReduced(const PushPullMachine &M, const ExplorerConfig &Config,
         Accum.insert(C);
     } else if (C.F.Kind != FiringKind::Begin) {
       // Guarded begin cannot fail, so it never counts as rejected.
-      ++Ctr.RejectedAttempts;
+      ++R.RejectedAttempts;
     }
   }
 }
+
+/// The visited set: configuration key -> the shallowest depth the
+/// configuration was explored at and the intersection of the sleep sets
+/// it was explored with.  A revisit is pruned only if it is no shallower
+/// *and* its sleep set is a superset of the stored one (it could not
+/// explore any transition the stored visits did not); otherwise it
+/// re-explores and the entry absorbs it.  This is the classical sleep
+/// sets + state-caching protocol; with empty sleep sets
+/// (Reduction::None) it degenerates to the depth-only rule.
+///
+/// Keys are numbered densely by a KeyTable; depths, and sleep sets only
+/// when the mode uses them, live in arrays indexed by that number, so an
+/// entry costs its key bytes plus a few words, and no pointer into the
+/// arrays is held while they may grow.
+class VisitedSet {
+public:
+  struct Claim {
+    bool Fresh;   ///< First time this configuration was ever seen.
+    bool Explore; ///< Caller should expand its successors.
+  };
+
+  /// Record a visit of \p Key (hash \p H = KeyTable<>::hash(Key)) at
+  /// \p Depth with \p Sleep.
+  Claim claim(std::string_view Key, uint64_t H, size_t Depth,
+              const SleepSet &Sleep, bool UseSleep) {
+    KeyTable<>::Insert In = Keys.insert(Key, H);
+    if (In.Fresh) {
+      Depths.push_back(Depth);
+      if (UseSleep)
+        Sleeps.push_back(Sleep);
+      return {true, true};
+    }
+    size_t &StoredDepth = Depths[In.Index];
+    bool Shallower = Depth < StoredDepth;
+    bool SleepCovered = !UseSleep || Sleep.supersetOf(Sleeps[In.Index]);
+    if (!Shallower && SleepCovered)
+      return {false, false};
+    // Previously reached only deeper (with part of its subtree possibly
+    // depth-pruned) or with a narrower frontier (part of it sleep-pruned):
+    // re-explore from here.  The per-config accounting (visit count,
+    // invariants, terminal verdicts) already happened on the first visit.
+    StoredDepth = std::min(StoredDepth, Depth);
+    if (UseSleep)
+      Sleeps[In.Index].intersectWith(Sleep);
+    return {false, true};
+  }
+
+private:
+  KeyTable<> Keys;
+  std::vector<size_t> Depths;
+  /// Empty unless the reduction uses sleep sets.
+  std::vector<SleepSet> Sleeps;
+};
+
+/// Committed-content key -> commit-order oracle verdict.  The verdict is a
+/// pure function of the commit-ordered transaction bodies/stacks and the
+/// committed shared log, so distinct terminal configurations with
+/// identical committed content share one atomic-machine search.
+class VerdictMemo {
+public:
+  /// Oracle.checkCommitOrder(M), run once per distinct committed content.
+  /// The reference is valid until the next call.
+  const SerializabilityVerdict &verdict(SerializabilityChecker &Oracle,
+                                        const PushPullMachine &M) {
+    committedContentKey(M, M.spec().table(), KeyBuf);
+    KeyTable<>::Insert In = Keys.insert(KeyBuf);
+    if (In.Fresh)
+      Verdicts.push_back(Oracle.checkCommitOrder(M));
+    return Verdicts[In.Index];
+  }
+
+private:
+  KeyTable<> Keys;
+  std::vector<SerializabilityVerdict> Verdicts;
+  std::string KeyBuf;
+};
 
 /// One unit of parallel work: a configuration, the depth it was reached
 /// at, and the sleep set it inherited from its parent's expansion.
@@ -222,75 +292,48 @@ struct WorkItem {
 
 } // namespace
 
-Explorer::VisitedSet::Claim
-Explorer::VisitedSet::claim(std::string_view Key, uint64_t H, size_t Depth,
-                            const SleepSet &Sleep, bool UseSleep) {
-  KeyTable<>::Insert In = Keys.insert(Key, H);
-  if (In.Fresh) {
-    Depths.push_back(Depth);
-    if (UseSleep)
-      Sleeps.push_back(Sleep);
-    return {true, true};
-  }
-  size_t &StoredDepth = Depths[In.Index];
-  bool Shallower = Depth < StoredDepth;
-  bool SleepCovered = !UseSleep || Sleep.supersetOf(Sleeps[In.Index]);
-  if (!Shallower && SleepCovered)
-    return {false, false};
-  // Previously reached only deeper (with part of its subtree possibly
-  // depth-pruned) or with a narrower frontier (part of it sleep-pruned):
-  // re-explore from here.  The per-config accounting (visit count,
-  // invariants, terminal verdicts) already happened on the first visit.
-  StoredDepth = std::min(StoredDepth, Depth);
-  if (UseSleep)
-    Sleeps[In.Index].intersectWith(Sleep);
-  return {false, true};
-}
+/// What the search threads share: the visited set, the MaxConfigs slot
+/// counter and the lock around OnTerminal.  The visited set is sharded by
+/// the top six bits of the key hash, each shard under its own mutex, when
+/// a pool searches; a single thread gets one shard, because each shard's
+/// table and arena allocate on their first key.
+struct Explorer::Search {
+  explicit Search(unsigned Threads) : Shards(Threads > 1 ? 64 : 1) {}
 
-void Explorer::VisitedSet::clear() {
-  Keys.clear();
-  Depths.clear();
-  Sleeps.clear();
-}
-
-/// The parallel engine's visited set: VisitedSets sharded by the high bits
-/// of the key hash, each under its own mutex.  Same protocol as the
-/// sequential set (the first claim is "fresh" and does the per-config
-/// accounting; a later claim re-explores — without re-accounting — iff it
-/// is shallower or its sleep set would explore a transition every stored
-/// visit pruned).
-class Explorer::ShardedVisited {
-public:
   VisitedSet::Claim claim(std::string_view Key, size_t Depth,
                           const SleepSet &Sleep, bool UseSleep) {
     uint64_t H = KeyTable<>::hash(Key);
-    Shard &S = Shards[H >> (64 - ShardBits)];
+    Shard &S = Shards[(H >> 58) & (Shards.size() - 1)];
     std::lock_guard<std::mutex> Lock(S.Mutex);
     return S.Set.claim(Key, H, Depth, Sleep, UseSleep);
   }
 
-private:
-  static constexpr unsigned ShardBits = 6;
   struct Shard {
     std::mutex Mutex;
     VisitedSet Set;
   };
-  Shard Shards[size_t{1} << ShardBits];
+  std::vector<Shard> Shards;
+  /// Budget slots taken: one per fresh claim, past MaxConfigs included.
+  std::atomic<uint64_t> Slots{0};
+  std::mutex TerminalMutex;
 };
 
-const SerializabilityVerdict &
-Explorer::VerdictMemo::verdict(SerializabilityChecker &Oracle,
-                               const PushPullMachine &M) {
-  committedContentKey(M, M.spec().table(), KeyBuf);
-  KeyTable<>::Insert In = Keys.insert(KeyBuf);
-  if (In.Fresh)
-    Verdicts.push_back(Oracle.checkCommitOrder(M));
-  return Verdicts[In.Index];
-}
+/// What one search thread owns: the mover checker it asks, its oracle and
+/// verdict memo, its key buffer, and the report it counts into.
+struct Explorer::Worker {
+  Worker(const SequentialSpec &Spec, MoverChecker &Movers)
+      : Movers(Movers), Oracle(Spec) {}
+
+  MoverChecker &Movers;
+  SerializabilityChecker Oracle;
+  VerdictMemo Memo;
+  std::string KeyBuf;
+  ExplorerReport Report;
+};
 
 Explorer::Explorer(const SequentialSpec &Spec, MoverChecker &Movers,
                    ExplorerConfig Config)
-    : Spec(Spec), Movers(Movers), Config(Config), Oracle(Spec) {}
+    : Spec(Spec), Movers(Movers), Config(Config) {}
 
 void Explorer::canonicalKey(const PushPullMachine &M, SleepSet &Sleep,
                             uint64_t &SymmetryHits, std::string &Out) const {
@@ -338,258 +381,154 @@ Explorer::explore(const std::vector<std::vector<CodePtr>> &Programs) {
   if (usesSymmetry(Config.Reduce))
     Perms = symmetryGroup(Programs);
 
+  Search S(Config.Threads);
   if (Config.Threads > 1)
-    return exploreParallel(std::move(M));
-
-  Visited.clear();
-  ExplorerReport Report;
-  visit(std::move(M), 0, SleepSet(), Report);
-  return Report;
+    return exploreParallel(S, std::move(M));
+  Worker W(Spec, Movers);
+  visit(S, W, std::move(M), 0, SleepSet());
+  return std::move(W.Report);
 }
 
-void Explorer::visit(PushPullMachine M, size_t Depth, SleepSet Sleep,
-                     ExplorerReport &Report) {
-  if (Report.ConfigsVisited >= Config.MaxConfigs || Depth > Config.MaxDepth) {
-    Report.Truncated = true;
-    return;
+bool Explorer::enter(Search &S, Worker &W, const PushPullMachine &M,
+                     size_t Depth, const SleepSet &Sleep) {
+  ExplorerReport &R = W.Report;
+  if (S.Slots.load(std::memory_order_relaxed) >= Config.MaxConfigs ||
+      Depth > Config.MaxDepth) {
+    R.Truncated = true;
+    return false;
   }
   // Under symmetry, key and sleep set move to the canonical labeling so
   // entries stored by isomorphic configurations compare like with like.
   SleepSet StoredSleep = Sleep;
-  canonicalKey(M, StoredSleep, Report.SymmetryHits, KeyBuf);
+  canonicalKey(M, StoredSleep, R.SymmetryHits, W.KeyBuf);
   VisitedSet::Claim C =
-      Visited.claim(KeyBuf, KeyTable<>::hash(KeyBuf), Depth, StoredSleep,
-                    usesSleepSets(Config.Reduce));
+      S.claim(W.KeyBuf, Depth, StoredSleep, usesSleepSets(Config.Reduce));
   if (!C.Explore)
-    return;
-  const bool Fresh = C.Fresh;
-  if (Fresh)
-    ++Report.ConfigsVisited;
-
-  if (Config.CheckInvariants && Fresh) {
-    for (const ThreadState &Th : M.threads()) {
-      InvariantReport IR = checkAllInvariants(Th, M.global(), Movers);
-      if (!IR.Holds) {
-        ++Report.InvariantViolations;
-        if (Report.FirstFailure.empty())
-          Report.FirstFailure = IR.Which + ": " + IR.Detail;
-      }
+    return false;
+  if (C.Fresh) {
+    // A fresh configuration takes its budget slot here; racing workers
+    // may all have passed the check above, so a slot past the budget
+    // truncates instead of counting or expanding.
+    if (S.Slots.fetch_add(1, std::memory_order_relaxed) >=
+        Config.MaxConfigs) {
+      R.Truncated = true;
+      return false;
     }
+    ++R.ConfigsVisited;
+    if (Config.CheckInvariants)
+      for (const ThreadState &Th : M.threads()) {
+        InvariantReport IR = checkAllInvariants(Th, M.global(), W.Movers);
+        if (!IR.Holds) {
+          ++R.InvariantViolations;
+          if (R.FirstFailure.empty())
+            R.FirstFailure = IR.Which + ": " + IR.Detail;
+        }
+      }
   }
 
-  if (M.quiescent()) {
-    if (!Fresh)
-      return;
-    ++Report.TerminalConfigs;
-    if (Config.OnTerminal)
-      Config.OnTerminal(M);
-    if (Config.SkipOracle) {
-      // The program was statically proved serializable; the per-terminal
-      // replay is certified redundant.
-      ++Report.OracleSkips;
-      return;
-    }
-    const SerializabilityVerdict &V = OracleMemo.verdict(Oracle, M);
-    if (V.Serializable != Tri::Yes) {
-      ++Report.NonSerializable;
-      if (Report.FirstFailure.empty()) {
-        Report.FirstFailure =
-            "non-serializable terminal: " + V.Detail + "\n" + M.toString();
-        for (const CommittedTx &C : M.committed())
-          Report.FirstFailure += "  commit[" + std::to_string(C.CommitSeq) +
-                                 "] t" + std::to_string(C.Tid) + ": " +
-                                 printCode(C.Body) + " start=" +
-                                 C.Sigma.toString() + " final=" +
-                                 C.FinalSigma.toString() + "\n";
-        Report.FirstFailure += "  trace:\n" + M.trace().toString();
-      }
-    }
-    return;
+  if (!M.quiescent())
+    return true;
+  if (!C.Fresh)
+    return false;
+  ++R.TerminalConfigs;
+  if (Config.OnTerminal) {
+    std::lock_guard<std::mutex> Lock(S.TerminalMutex);
+    Config.OnTerminal(M);
   }
+  if (Config.SkipOracle) {
+    // The program was statically proved serializable; the per-terminal
+    // replay is certified redundant.
+    ++R.OracleSkips;
+    return false;
+  }
+  const SerializabilityVerdict &V = W.Memo.verdict(W.Oracle, M);
+  if (V.Serializable != Tri::Yes) {
+    ++R.NonSerializable;
+    if (R.FirstFailure.empty()) {
+      R.FirstFailure =
+          "non-serializable terminal: " + V.Detail + "\n" + M.toString();
+      for (const CommittedTx &Cm : M.committed())
+        R.FirstFailure += "  commit[" + std::to_string(Cm.CommitSeq) +
+                          "] t" + std::to_string(Cm.Tid) + ": " +
+                          printCode(Cm.Body) + " start=" +
+                          Cm.Sigma.toString() + " final=" +
+                          Cm.FinalSigma.toString() + "\n";
+      R.FirstFailure += "  trace:\n" + M.trace().toString();
+    }
+  }
+  return false;
+}
 
-  expandReduced(M, Config, Sleep,
-                ExpandCounters{Report.RuleApplications,
-                               Report.RejectedAttempts, Report.FiringsPruned,
-                               Report.PersistentCuts},
+void Explorer::visit(Search &S, Worker &W, PushPullMachine M, size_t Depth,
+                     SleepSet Sleep) {
+  if (!enter(S, W, M, Depth, Sleep))
+    return;
+  expandReduced(M, Config, Sleep, W.Report,
                 [&](PushPullMachine Next, SleepSet NextSleep) {
-                  visit(std::move(Next), Depth + 1, std::move(NextSleep),
-                        Report);
+                  visit(S, W, std::move(Next), Depth + 1,
+                        std::move(NextSleep));
                 });
 }
 
-ExplorerReport Explorer::exploreParallel(PushPullMachine Root) {
-  struct SharedState {
-    std::mutex QueueMutex;
-    std::condition_variable QueueCV;
-    std::vector<WorkItem> Stack; // LIFO: depth-first-ish, bounded frontier.
-    size_t ActiveWorkers = 0;
+ExplorerReport Explorer::exploreParallel(Search &S, PushPullMachine Root) {
+  std::mutex QueueMutex;
+  std::condition_variable QueueCV;
+  std::vector<WorkItem> Stack; // LIFO: depth-first-ish, bounded frontier.
+  size_t ActiveWorkers = 0;
+  Stack.push_back(WorkItem{std::move(Root), 0, SleepSet()});
 
-    ShardedVisited Visited;
-    std::atomic<uint64_t> ConfigsVisited{0}, TerminalConfigs{0};
-    std::atomic<uint64_t> RuleApplications{0}, RejectedAttempts{0};
-    std::atomic<uint64_t> NonSerializable{0}, InvariantViolations{0};
-    std::atomic<uint64_t> FiringsPruned{0}, PersistentCuts{0};
-    std::atomic<uint64_t> SymmetryHits{0}, OracleSkips{0};
-    std::atomic<bool> Truncated{false};
-
-    std::mutex FailureMutex;
-    std::string FirstFailure;
-
-    std::mutex TerminalMutex; ///< Serializes the OnTerminal hook.
-  } Shared;
-
-  const bool UseSleep = usesSleepSets(Config.Reduce);
-  Shared.Stack.push_back(WorkItem{std::move(Root), 0, SleepSet()});
-
-  auto Worker = [&]() {
+  auto Run = [&](ExplorerReport &Out) {
     // Worker-local checkers: verdicts are cache-independent, so private
     // caches are sound; the expensive denotation steps are still shared
     // across workers through the spec's interning table.
     MoverChecker WorkerMovers(Spec, Movers.limits(),
                               Movers.precongruence().limits());
-    SerializabilityChecker WorkerOracle(Spec);
-    VerdictMemo WorkerMemo;
-    std::string KeyBuf;
+    Worker W(Spec, WorkerMovers);
     std::vector<WorkItem> Children;
-
-    auto RecordFailure = [&](const std::string &Text) {
-      std::lock_guard<std::mutex> Lock(Shared.FailureMutex);
-      if (Shared.FirstFailure.empty())
-        Shared.FirstFailure = Text;
-    };
-
     for (;;) {
       std::optional<WorkItem> Item;
       {
-        std::unique_lock<std::mutex> Lock(Shared.QueueMutex);
-        Shared.QueueCV.wait(Lock, [&] {
-          return !Shared.Stack.empty() || Shared.ActiveWorkers == 0;
-        });
-        if (Shared.Stack.empty())
-          return; // No work anywhere and nobody producing: done.
-        Item.emplace(std::move(Shared.Stack.back()));
-        Shared.Stack.pop_back();
-        ++Shared.ActiveWorkers;
+        std::unique_lock<std::mutex> Lock(QueueMutex);
+        QueueCV.wait(Lock,
+                     [&] { return !Stack.empty() || ActiveWorkers == 0; });
+        if (Stack.empty())
+          break; // No work anywhere and nobody producing: done.
+        Item.emplace(std::move(Stack.back()));
+        Stack.pop_back();
+        ++ActiveWorkers;
       }
 
-      Children.clear();
-      PushPullMachine &M = Item->M;
-      size_t Depth = Item->Depth;
-      M.setMovers(WorkerMovers);
-
-      if (Shared.ConfigsVisited.load(std::memory_order_relaxed) >=
-              Config.MaxConfigs ||
-          Depth > Config.MaxDepth) {
-        Shared.Truncated.store(true, std::memory_order_relaxed);
-      } else {
-        uint64_t Hits = 0;
-        SleepSet StoredSleep = Item->Sleep;
-        canonicalKey(M, StoredSleep, Hits, KeyBuf);
-        if (Hits)
-          Shared.SymmetryHits.fetch_add(Hits, std::memory_order_relaxed);
-        VisitedSet::Claim C =
-            Shared.Visited.claim(KeyBuf, Depth, StoredSleep, UseSleep);
-        // A fresh configuration takes its budget slot here; racing workers
-        // may all have passed the check above, so a slot past the budget
-        // truncates instead of counting or expanding.
-        if (C.Fresh && Shared.ConfigsVisited.fetch_add(
-                           1, std::memory_order_relaxed) >= Config.MaxConfigs) {
-          Shared.Truncated.store(true, std::memory_order_relaxed);
-        } else if (C.Explore) {
-          if (Config.CheckInvariants && C.Fresh) {
-            for (const ThreadState &Th : M.threads()) {
-              InvariantReport IR =
-                  checkAllInvariants(Th, M.global(), WorkerMovers);
-              if (!IR.Holds) {
-                Shared.InvariantViolations.fetch_add(
-                    1, std::memory_order_relaxed);
-                RecordFailure(IR.Which + ": " + IR.Detail);
-              }
-            }
-          }
-
-          if (M.quiescent()) {
-            if (C.Fresh) {
-              Shared.TerminalConfigs.fetch_add(1, std::memory_order_relaxed);
-              if (Config.OnTerminal) {
-                std::lock_guard<std::mutex> Lock(Shared.TerminalMutex);
-                Config.OnTerminal(M);
-              }
-              if (Config.SkipOracle) {
-                Shared.OracleSkips.fetch_add(1, std::memory_order_relaxed);
-              } else {
-                const SerializabilityVerdict &V =
-                    WorkerMemo.verdict(WorkerOracle, M);
-                if (V.Serializable != Tri::Yes) {
-                  Shared.NonSerializable.fetch_add(1,
-                                                   std::memory_order_relaxed);
-                  std::string Text = "non-serializable terminal: " +
-                                     V.Detail + "\n" + M.toString();
-                  for (const CommittedTx &Cm : M.committed())
-                    Text += "  commit[" + std::to_string(Cm.CommitSeq) +
-                            "] t" + std::to_string(Cm.Tid) + ": " +
-                            printCode(Cm.Body) + " start=" +
-                            Cm.Sigma.toString() + " final=" +
-                            Cm.FinalSigma.toString() + "\n";
-                  Text += "  trace:\n" + M.trace().toString();
-                  RecordFailure(Text);
-                }
-              }
-            }
-          } else {
-            uint64_t Applied = 0, Rejected = 0, Pruned = 0, Cuts = 0;
-            expandReduced(M, Config, Item->Sleep,
-                          ExpandCounters{Applied, Rejected, Pruned, Cuts},
-                          [&](PushPullMachine Next, SleepSet NextSleep) {
-                            Children.push_back(WorkItem{std::move(Next),
-                                                        Depth + 1,
-                                                        std::move(NextSleep)});
-                          });
-            Shared.RuleApplications.fetch_add(Applied,
-                                              std::memory_order_relaxed);
-            Shared.RejectedAttempts.fetch_add(Rejected,
-                                              std::memory_order_relaxed);
-            if (Pruned)
-              Shared.FiringsPruned.fetch_add(Pruned,
-                                             std::memory_order_relaxed);
-            if (Cuts)
-              Shared.PersistentCuts.fetch_add(Cuts,
-                                              std::memory_order_relaxed);
-          }
-        }
-      }
+      Item->M.setMovers(WorkerMovers);
+      if (enter(S, W, Item->M, Item->Depth, Item->Sleep))
+        expandReduced(Item->M, Config, Item->Sleep, W.Report,
+                      [&](PushPullMachine Next, SleepSet NextSleep) {
+                        Children.push_back(WorkItem{std::move(Next),
+                                                    Item->Depth + 1,
+                                                    std::move(NextSleep)});
+                      });
 
       {
-        std::lock_guard<std::mutex> Lock(Shared.QueueMutex);
+        std::lock_guard<std::mutex> Lock(QueueMutex);
         for (WorkItem &C : Children)
-          Shared.Stack.push_back(std::move(C));
-        --Shared.ActiveWorkers;
+          Stack.push_back(std::move(C));
+        --ActiveWorkers;
       }
-      Shared.QueueCV.notify_all();
+      Children.clear();
+      QueueCV.notify_all();
     }
+    Out = std::move(W.Report);
   };
 
+  std::vector<ExplorerReport> Reports(Config.Threads);
   std::vector<std::thread> Pool;
   Pool.reserve(Config.Threads);
-  for (unsigned I = 0; I < Config.Threads; ++I)
-    Pool.emplace_back(Worker);
+  for (ExplorerReport &Out : Reports)
+    Pool.emplace_back(Run, std::ref(Out));
   for (std::thread &T : Pool)
     T.join();
 
   ExplorerReport Report;
-  // Slots taken past the budget were not counted.
-  Report.ConfigsVisited =
-      std::min<uint64_t>(Shared.ConfigsVisited.load(), Config.MaxConfigs);
-  Report.TerminalConfigs = Shared.TerminalConfigs.load();
-  Report.RuleApplications = Shared.RuleApplications.load();
-  Report.RejectedAttempts = Shared.RejectedAttempts.load();
-  Report.NonSerializable = Shared.NonSerializable.load();
-  Report.InvariantViolations = Shared.InvariantViolations.load();
-  Report.FiringsPruned = Shared.FiringsPruned.load();
-  Report.PersistentCuts = Shared.PersistentCuts.load();
-  Report.SymmetryHits = Shared.SymmetryHits.load();
-  Report.OracleSkips = Shared.OracleSkips.load();
-  Report.Truncated = Shared.Truncated.load();
-  Report.FirstFailure = std::move(Shared.FirstFailure);
+  for (const ExplorerReport &R : Reports)
+    Report.absorb(R);
   return Report;
 }

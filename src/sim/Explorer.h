@@ -29,13 +29,17 @@
 /// without symmetry preserve the exact TerminalConfigs and per-terminal
 /// verdict counts (the tests/reduction_test.cpp battery enforces this).
 ///
-/// With ExplorerConfig::Threads > 1 the search runs on a worker pool: a
+/// Both searches take every configuration through one step,
+/// Explorer::enter, the only place that counts a configuration, checks
+/// an invariant or asks the oracle.  With ExplorerConfig::Threads == 1 a
+/// recursive DFS calls it; with Threads > 1 a worker pool does, over a
 /// shared LIFO work queue of configurations (sleep sets travel with the
-/// work items), a sharded concurrent visited set, per-worker mover
-/// checkers and oracles (verdicts are cache-independent, so worker-local
-/// caches are sound), and atomic report counters.  A fresh configuration
-/// takes its slot in the MaxConfigs budget with one atomic increment, so
-/// racing workers never count past the budget.
+/// work items) and a visited set sharded 64 ways.  Each worker owns its
+/// mover checker, oracle and report (verdicts are cache-independent, so
+/// worker-local caches are sound), and after join ExplorerReport::absorb
+/// sums the reports in worker order.  A fresh configuration takes its
+/// slot in the MaxConfigs budget with one atomic increment, so racing
+/// workers never count past the budget.
 ///
 /// Which report fields are deterministic: the visited/accounting protocol
 /// guarantees that the aggregate totals ConfigsVisited / TerminalConfigs /
@@ -57,12 +61,10 @@
 #include "check/Serializability.h"
 #include "core/Machine.h"
 #include "sim/Reduction.h"
-#include "support/KeyTable.h"
 
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace pushpull {
@@ -145,6 +147,25 @@ struct ExplorerReport {
   /// Diagnostic for the first failure, if any.
   std::string FirstFailure;
 
+  /// Add \p O's counters into this report.  Truncated is or-ed and the
+  /// first non-empty FirstFailure is kept, so summing worker reports in
+  /// worker order keeps the first worker's failure.
+  void absorb(const ExplorerReport &O) {
+    ConfigsVisited += O.ConfigsVisited;
+    TerminalConfigs += O.TerminalConfigs;
+    RuleApplications += O.RuleApplications;
+    RejectedAttempts += O.RejectedAttempts;
+    NonSerializable += O.NonSerializable;
+    InvariantViolations += O.InvariantViolations;
+    FiringsPruned += O.FiringsPruned;
+    PersistentCuts += O.PersistentCuts;
+    SymmetryHits += O.SymmetryHits;
+    OracleSkips += O.OracleSkips;
+    Truncated = Truncated || O.Truncated;
+    if (FirstFailure.empty())
+      FirstFailure = O.FirstFailure;
+  }
+
   bool clean() const {
     return NonSerializable == 0 && InvariantViolations == 0;
   }
@@ -169,63 +190,26 @@ public:
   ExplorerReport explore(const std::vector<std::vector<CodePtr>> &Programs);
 
 private:
-  /// The visited set: configuration key -> the shallowest depth the
-  /// configuration was explored at and the intersection of the sleep sets
-  /// it was explored with.  A revisit is pruned only if it is no shallower
-  /// *and* its sleep set is a superset of the stored one (it could not
-  /// explore any transition the stored visits did not); otherwise it
-  /// re-explores and the entry absorbs it.  This is the classical sleep
-  /// sets + state-caching protocol; with empty sleep sets
-  /// (Reduction::None) it degenerates to the depth-only rule.
-  ///
-  /// Keys are numbered densely by a KeyTable; depths, and sleep sets only
-  /// when the mode uses them, live in arrays indexed by that number, so an
-  /// entry costs its key bytes plus a few words, and no pointer into the
-  /// arrays is held while they may grow.
-  class VisitedSet {
-  public:
-    struct Claim {
-      bool Fresh;   ///< First time this configuration was ever seen.
-      bool Explore; ///< Caller should expand its successors.
-    };
+  /// What the search threads share, and what one of them owns
+  /// (Explorer.cpp).
+  struct Search;
+  struct Worker;
 
-    /// Record a visit of \p Key (hash \p H = KeyTable<>::hash(Key)) at
-    /// \p Depth with \p Sleep.
-    Claim claim(std::string_view Key, uint64_t H, size_t Depth,
-                const SleepSet &Sleep, bool UseSleep);
+  /// The per-configuration step both searches take: check the budget and
+  /// depth, claim \p M's canonical key in the visited set, and on a fresh
+  /// claim count the configuration, check the invariants and, at a
+  /// quiescent configuration, count the terminal and ask the oracle.
+  /// Returns whether the caller should expand \p M's successors.
+  bool enter(Search &S, Worker &W, const PushPullMachine &M, size_t Depth,
+             const SleepSet &Sleep);
 
-    void clear();
+  /// The Threads == 1 search: a recursive DFS that builds each successor
+  /// only after the previous successor's subtree is done.
+  void visit(Search &S, Worker &W, PushPullMachine M, size_t Depth,
+             SleepSet Sleep);
 
-  private:
-    KeyTable<> Keys;
-    std::vector<size_t> Depths;
-    /// Empty unless the reduction uses sleep sets.
-    std::vector<SleepSet> Sleeps;
-  };
-
-  /// The parallel engine's sharded visited set (Explorer.cpp).
-  class ShardedVisited;
-
-  /// Committed-content key -> commit-order oracle verdict.  The verdict is
-  /// a pure function of the commit-ordered transaction bodies/stacks and
-  /// the committed shared log, so distinct terminal configurations with
-  /// identical committed content share one atomic-machine search.  One
-  /// per explorer (kept across explore() calls) or per parallel worker.
-  class VerdictMemo {
-  public:
-    /// Oracle.checkCommitOrder(M), run once per distinct committed
-    /// content.  The reference is valid until the next call.
-    const SerializabilityVerdict &verdict(SerializabilityChecker &Oracle,
-                                          const PushPullMachine &M);
-
-  private:
-    KeyTable<> Keys;
-    std::vector<SerializabilityVerdict> Verdicts;
-    std::string KeyBuf;
-  };
-
-  void visit(PushPullMachine M, size_t Depth, SleepSet Sleep,
-             ExplorerReport &Report);
+  /// The Threads > 1 search: a worker pool over a shared LIFO frontier.
+  ExplorerReport exploreParallel(Search &S, PushPullMachine Root);
 
   /// Render into \p Out the canonical visited-set key of \p M under the
   /// configured reduction: the minimum of configKey over the symmetry
@@ -236,20 +220,12 @@ private:
   void canonicalKey(const PushPullMachine &M, SleepSet &Sleep,
                     uint64_t &SymmetryHits, std::string &Out) const;
 
-  ExplorerReport exploreParallel(PushPullMachine Root);
-
   const SequentialSpec &Spec;
   MoverChecker &Movers;
   ExplorerConfig Config;
-  SerializabilityChecker Oracle;
   /// Thread relabelings for the symmetry reduction (identity first).
   /// Empty unless Config.Reduce enables symmetry.
   std::vector<std::vector<TxId>> Perms;
-  VerdictMemo OracleMemo;
-  VisitedSet Visited;
-  /// The sequential engine's key buffer: every visit renders into it and
-  /// is done with it before recursing.
-  std::string KeyBuf;
 };
 
 } // namespace pushpull

@@ -56,6 +56,8 @@ struct StressRecord {
   uint32_t LSize = 0;
   uint32_t GSize = 0;
   uint32_t Commits = 0;
+
+  bool operator==(const StressRecord &) const = default;
 };
 
 /// Bounded SPSC ring buffer of StressRecords.

@@ -60,21 +60,20 @@ bool WindowChecker::feed(const StressRecord &R) {
     fail("recorded pick names nonexistent thread " + std::to_string(R.Pick));
     return false;
   }
-  StepStatus S = Engine->step(R.Pick);
-  const ThreadState &Th = M.thread(R.Pick);
-  uint32_t LSize = static_cast<uint32_t>(Th.L.size());
-  uint32_t GSize = static_cast<uint32_t>(M.global().size());
-  uint32_t Commits = static_cast<uint32_t>(M.committed().size());
-  if (static_cast<uint8_t>(S) != R.Status || LSize != R.LSize ||
-      GSize != R.GSize || Commits != R.Commits) {
+  // The shadow's record is the live one restamped from the shadow
+  // machine, so the two differ exactly where the fingerprints do.
+  StressRecord Own = R;
+  stampFingerprint(Own, M, R.Pick, Engine->step(R.Pick));
+  if (Own != R) {
+    auto Show = [](const StressRecord &F) {
+      return "{" + toString(static_cast<StepStatus>(F.Status)) +
+             " L=" + std::to_string(F.LSize) + " G=" +
+             std::to_string(F.GSize) +
+             " commits=" + std::to_string(F.Commits) + "}";
+    };
     fail("shadow replay diverged at step " + std::to_string(R.Order) +
-         " (thread " + std::to_string(R.Pick) + "): live {" +
-         toString(static_cast<StepStatus>(R.Status)) +
-         " L=" + std::to_string(R.LSize) + " G=" + std::to_string(R.GSize) +
-         " commits=" + std::to_string(R.Commits) + "} vs shadow {" +
-         toString(S) + " L=" + std::to_string(LSize) +
-         " G=" + std::to_string(GSize) +
-         " commits=" + std::to_string(Commits) + "}");
+         " (thread " + std::to_string(R.Pick) + "): live " + Show(R) +
+         " vs shadow " + Show(Own));
     return false;
   }
   return true;

@@ -117,25 +117,33 @@ TEST(Certificates, StrongDiamondVerifiesAndTamperingIsRejected) {
   EXPECT_TRUE(
       verifyStrongCertificate(Spec, P[I0], P[I1], P, V.Cert).Ok);
 
+  // The family is shared with the checker's reachable family, so each
+  // tamper edits a copy.
+  ASSERT_TRUE(V.Cert.Family);
   // Tamper 1: drop the initial denotation from the family.
   {
     PairCertificate T = V.Cert;
-    T.Family.erase(std::find(T.Family.begin(), T.Family.end(),
-                             Spec.initialId()));
+    std::vector<StateSetId> Fam = *T.Family;
+    Fam.erase(std::find(Fam.begin(), Fam.end(), Spec.initialId()));
+    T.Family = std::make_shared<const std::vector<StateSetId>>(Fam);
     EXPECT_FALSE(verifyStrongCertificate(Spec, P[I0], P[I1], P, T).Ok);
   }
   // Tamper 2: drop a non-initial member (closure must now fail).
   {
     PairCertificate T = V.Cert;
-    ASSERT_GT(T.Family.size(), 1u);
-    T.Family.pop_back();
+    std::vector<StateSetId> Fam = *T.Family;
+    ASSERT_GT(Fam.size(), 1u);
+    Fam.pop_back();
+    T.Family = std::make_shared<const std::vector<StateSetId>>(Fam);
     EXPECT_FALSE(verifyStrongCertificate(Spec, P[I0], P[I1], P, T).Ok);
   }
   // Tamper 3: break the sortedness invariant.
   {
     PairCertificate T = V.Cert;
-    ASSERT_GT(T.Family.size(), 1u);
-    std::swap(T.Family.front(), T.Family.back());
+    std::vector<StateSetId> Fam = *T.Family;
+    ASSERT_GT(Fam.size(), 1u);
+    std::swap(Fam.front(), Fam.back());
+    T.Family = std::make_shared<const std::vector<StateSetId>>(Fam);
     EXPECT_FALSE(verifyStrongCertificate(Spec, P[I0], P[I1], P, T).Ok);
   }
   // Tamper 4: relabel the certificate kind.

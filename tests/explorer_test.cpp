@@ -265,3 +265,39 @@ TEST(Explorer, ParallelSearchMatchesSequentialTotals) {
     EXPECT_TRUE(Par.clean()) << C.Name << ": " << Par.FirstFailure;
   }
 }
+
+TEST(Explorer, ReportAbsorbSumsEveryCounter) {
+  // The pool sums its workers' reports with absorb.  Distinct values, so a
+  // counter summed into the wrong field, or not at all, shows.
+  uint64_t ExplorerReport::*Counters[] = {
+      &ExplorerReport::ConfigsVisited,   &ExplorerReport::TerminalConfigs,
+      &ExplorerReport::RuleApplications, &ExplorerReport::RejectedAttempts,
+      &ExplorerReport::NonSerializable,  &ExplorerReport::InvariantViolations,
+      &ExplorerReport::FiringsPruned,    &ExplorerReport::PersistentCuts,
+      &ExplorerReport::SymmetryHits,     &ExplorerReport::OracleSkips};
+  ExplorerReport R;
+  uint64_t V = 1;
+  for (uint64_t ExplorerReport::*C : Counters)
+    R.*C = V++;
+
+  ExplorerReport Total;
+  Total.absorb(R);
+  EXPECT_FALSE(Total.Truncated);
+  EXPECT_EQ(Total.FirstFailure, "");
+
+  R.Truncated = true;
+  R.FirstFailure = "first";
+  Total.absorb(R);
+  V = 1;
+  for (uint64_t ExplorerReport::*C : Counters)
+    EXPECT_EQ(Total.*C, 2 * V++);
+  EXPECT_TRUE(Total.Truncated);
+  EXPECT_EQ(Total.FirstFailure, "first");
+
+  // Or-ed, not overwritten; the first non-empty failure is kept.
+  R.Truncated = false;
+  R.FirstFailure = "second";
+  Total.absorb(R);
+  EXPECT_TRUE(Total.Truncated);
+  EXPECT_EQ(Total.FirstFailure, "first");
+}

@@ -319,13 +319,15 @@ Scope injectedBugScope() {
 }
 
 ExplorerReport runInjected(const Scope &S, Reduction Mode, unsigned Threads,
-                           const std::string &DisabledCriterion) {
+                           const std::string &DisabledCriterion,
+                           bool CheckInvariants) {
   auto Spec = S.MakeSpec();
   MoverChecker Movers(*Spec);
   ExplorerConfig EC;
   EC.Reduce = Mode;
   EC.Threads = Threads;
   EC.MaxConfigs = 2000000;
+  EC.CheckInvariants = CheckInvariants;
   EC.Machine.DisabledCriterion = DisabledCriterion;
   Explorer E(*Spec, Movers, EC);
   std::vector<std::vector<CodePtr>> Ps;
@@ -339,32 +341,43 @@ ExplorerReport runInjected(const Scope &S, Reduction Mode, unsigned Threads,
 TEST(ReductionSoundness, InjectedPushCriterionBugFoundUnderEveryMode) {
   Scope S = injectedBugScope();
 
-  // Sanity: the scope is clean without the injection.
-  ExplorerReport Clean = runInjected(S, Reduction::None, 1, "");
-  ASSERT_FALSE(Clean.Truncated);
-  ASSERT_TRUE(Clean.clean()) << Clean.FirstFailure;
+  // With invariant checking on, the pool's invariant path is pinned too:
+  // the planted bug also breaks the Section 5.3 invariants, and every
+  // mode must count the same violations at 1 and 4 workers.
+  for (bool Invariants : {false, true}) {
+    std::string Inv = Invariants ? " / invariants" : "";
+    // Sanity: the scope is clean without the injection.
+    ExplorerReport Clean = runInjected(S, Reduction::None, 1, "", Invariants);
+    ASSERT_FALSE(Clean.Truncated) << Inv;
+    ASSERT_TRUE(Clean.clean()) << Inv << ": " << Clean.FirstFailure;
 
-  ExplorerReport Base = runInjected(S, Reduction::None, 1,
-                                    "PUSH criterion (ii)");
-  ASSERT_FALSE(Base.Truncated);
-  ASSERT_GT(Base.NonSerializable, 0u)
-      << "the planted bug must produce a non-serializable terminal";
+    ExplorerReport Base = runInjected(S, Reduction::None, 1,
+                                      "PUSH criterion (ii)", Invariants);
+    ASSERT_FALSE(Base.Truncated) << Inv;
+    ASSERT_GT(Base.NonSerializable, 0u)
+        << "the planted bug must produce a non-serializable terminal" << Inv;
+    if (Invariants) {
+      ASSERT_GT(Base.InvariantViolations, 0u)
+          << "the planted bug must break an invariant";
+    }
 
-  for (Reduction Mode : AllModes) {
-    for (unsigned Threads : {1u, 4u}) {
-      ExplorerReport R =
-          runInjected(S, Mode, Threads, "PUSH criterion (ii)");
-      std::string Tag =
-          std::string(toString(Mode)) + " / threads=" + std::to_string(Threads);
-      ASSERT_FALSE(R.Truncated) << Tag;
-      // Reduction must never prune the counterexample...
-      EXPECT_GT(R.NonSerializable, 0u) << Tag;
-      // ...and must report it reproducibly.
-      EXPECT_FALSE(R.FirstFailure.empty()) << Tag;
-      // Sleep and persistent reach the exact same terminal classes, so
-      // the failure *count* is preserved too; symmetry quotients it but
-      // this scope's programs are distinct, so it degenerates likewise.
-      EXPECT_EQ(R.NonSerializable, Base.NonSerializable) << Tag;
+    for (Reduction Mode : AllModes) {
+      for (unsigned Threads : {1u, 4u}) {
+        ExplorerReport R =
+            runInjected(S, Mode, Threads, "PUSH criterion (ii)", Invariants);
+        std::string Tag = std::string(toString(Mode)) +
+                          " / threads=" + std::to_string(Threads) + Inv;
+        ASSERT_FALSE(R.Truncated) << Tag;
+        // Reduction must never prune the counterexample...
+        EXPECT_GT(R.NonSerializable, 0u) << Tag;
+        // ...and must report it reproducibly.
+        EXPECT_FALSE(R.FirstFailure.empty()) << Tag;
+        // Sleep and persistent reach the exact same terminal classes, so
+        // the failure *count* is preserved too; symmetry quotients it but
+        // this scope's programs are distinct, so it degenerates likewise.
+        EXPECT_EQ(R.NonSerializable, Base.NonSerializable) << Tag;
+        EXPECT_EQ(R.InvariantViolations, Base.InvariantViolations) << Tag;
+      }
     }
   }
 }

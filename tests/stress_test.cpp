@@ -221,13 +221,26 @@ TEST(WindowChecker, AcceptsAFaithfulRecording) {
 }
 
 TEST(WindowChecker, FlagsATamperedFingerprint) {
-  // Corrupt one record's shared-log size mid-stream: the shadow replay
-  // must notice at exactly that step.
-  std::string Failure = shadowOneRound([](StressRecord &R, uint64_t Order) {
-    if (Order == 5)
-      R.GSize += 1;
-  });
-  EXPECT_NE(Failure.find("diverged at step 5"), std::string::npos) << Failure;
+  // Corrupt one fingerprint field of one record mid-stream: whichever
+  // field it is, the shadow replay must notice at exactly that step.
+  struct Field {
+    const char *Name;
+    void (*Tamper)(StressRecord &);
+  };
+  const Field Fields[] = {
+      {"Status", [](StressRecord &R) { R.Status = R.Status == 0 ? 1 : 0; }},
+      {"LSize", [](StressRecord &R) { R.LSize += 1; }},
+      {"GSize", [](StressRecord &R) { R.GSize += 1; }},
+      {"Commits", [](StressRecord &R) { R.Commits += 1; }},
+  };
+  for (const Field &F : Fields) {
+    std::string Failure = shadowOneRound([&F](StressRecord &R, uint64_t Order) {
+      if (Order == 5)
+        F.Tamper(R);
+    });
+    EXPECT_NE(Failure.find("diverged at step 5"), std::string::npos)
+        << F.Name << ": " << Failure;
+  }
 }
 
 // -- End to end: fault injection, dump, deterministic replay -----------------
