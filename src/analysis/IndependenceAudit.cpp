@@ -69,34 +69,35 @@ std::vector<Candidate> pushpull::allCandidates(const PushPullMachine &M) {
   return Out;
 }
 
+/// Fire \p X then \p Y on \p M under an undo mark and render the
+/// configuration reached into \p Key; \p M is rolled back either way.
+/// Returns false, with \p Reason filled, when either firing is rejected.
+static bool fireBoth(PushPullMachine &M, const Firing &X, const Firing &Y,
+                     std::string &Key, std::string &Reason) {
+  PushPullMachine::UndoMark Mark = M.mark();
+  bool Fired = false;
+  if (!applyFiring(M, X)) {
+    Reason = X.toString() + " no longer enabled (probe race)";
+  } else if (!applyFiring(M, Y)) {
+    Reason = Y.toString() + " disabled after " + X.toString();
+  } else {
+    M.configKeyInto(Key);
+    Fired = true;
+  }
+  M.rollbackTo(Mark);
+  return Fired;
+}
+
 /// One diamond check.  Returns true and leaves \p Reason empty on
 /// commutation; otherwise fills \p Reason.  The two orders' configuration
 /// keys are rendered into \p KeyAB and \p KeyBA, buffers the caller reuses
 /// across pairs (pairs are checked by the million; buffers that keep their
 /// capacity make the comparison allocation-free).
-static bool diamond(const PushPullMachine &M, const Firing &A,
-                    const Firing &B, std::string &KeyAB, std::string &KeyBA,
+static bool diamond(PushPullMachine &M, const Firing &A, const Firing &B,
+                    std::string &KeyAB, std::string &KeyBA,
                     std::string &Reason) {
-  PushPullMachine AB(M);
-  if (!applyFiring(AB, A)) {
-    Reason = A.toString() + " no longer enabled (probe race)";
+  if (!fireBoth(M, A, B, KeyAB, Reason) || !fireBoth(M, B, A, KeyBA, Reason))
     return false;
-  }
-  if (!applyFiring(AB, B)) {
-    Reason = B.toString() + " disabled after " + A.toString();
-    return false;
-  }
-  PushPullMachine BA(M);
-  if (!applyFiring(BA, B)) {
-    Reason = B.toString() + " no longer enabled (probe race)";
-    return false;
-  }
-  if (!applyFiring(BA, A)) {
-    Reason = A.toString() + " disabled after " + B.toString();
-    return false;
-  }
-  AB.configKeyInto(KeyAB);
-  BA.configKeyInto(KeyBA);
   if (KeyAB != KeyBA) {
     Reason = "orders " + A.toString() + ";" + B.toString() +
              " and reverse reach different configurations";
@@ -105,16 +106,17 @@ static bool diamond(const PushPullMachine &M, const Firing &A,
   return true;
 }
 
-size_t pushpull::checkIndependenceAt(const PushPullMachine &M,
+size_t pushpull::checkIndependenceAt(PushPullMachine &M,
                                      std::vector<std::string> &Failures,
                                      size_t MaxPairs) {
   std::vector<Candidate> Cands = allCandidates(M);
-  // Keep only the enabled ones (probed on a scratch copy each).
+  // Keep only the enabled ones (each fired in place and rolled back).
   std::vector<Candidate> Enabled;
   for (const Candidate &C : Cands) {
-    PushPullMachine Probe(M);
-    if (applyFiring(Probe, C.F))
+    PushPullMachine::UndoMark Mark = M.mark();
+    if (applyFiring(M, C.F))
       Enabled.push_back(C);
+    M.rollbackTo(Mark);
   }
   size_t Pairs = 0;
   std::string KeyAB, KeyBA;

@@ -50,8 +50,9 @@ std::vector<Candidate> allCandidates(const PushPullMachine &M);
 /// Check every claimed-independent pair of enabled cross-thread firings
 /// at \p M's current configuration as a diamond.  Appends a description
 /// per violation to \p Failures; returns the number of pairs checked.
-/// \p MaxPairs, when nonzero, bounds the work.
-size_t checkIndependenceAt(const PushPullMachine &M,
+/// \p MaxPairs, when nonzero, bounds the work.  Every firing happens on
+/// \p M under an undo mark and is rolled back, so \p M is left as found.
+size_t checkIndependenceAt(PushPullMachine &M,
                            std::vector<std::string> &Failures,
                            size_t MaxPairs = 0);
 

@@ -352,8 +352,9 @@ pushpull::auditCriteria(const CriterionAuditConfig &Config) {
                                            Config.RuleMask,
                                            Config.PullsUncommitted)) {
       ++Report.ProbesRun;
-      PushPullMachine Probe(Base);
-      bool Applied = applyFiring(Probe, F);
+      PushPullMachine::UndoMark Mark = Base.mark();
+      bool Applied = applyFiring(Base, F);
+      Base.rollbackTo(Mark);
       ReferenceVerdict V = Ref.judge(Mat, F);
       if (Applied == V.Enabled)
         continue;

@@ -101,7 +101,9 @@ private:
   bool genGlobal() {
     if (!genThread(0))
       return false;
-    if (Cur.G.size() >= Scope.MaxGlobal)
+    // Entries are only ever added below here, so once the shape holds
+    // Target of them no deeper shape can be emitted.
+    if (Cur.G.size() >= Scope.MaxGlobal || Cur.entryCount() >= Target)
       return true;
     // Entry-size pruning: even a maximal suffix cannot reach Target.
     size_t MaxRest = (Scope.MaxGlobal - Cur.G.size() - 1) +
@@ -165,7 +167,7 @@ private:
       if (!genCode(T))
         return false;
     }
-    if (Th.L.size() >= localCap(T))
+    if (Th.L.size() >= localCap(T) || Cur.entryCount() >= Target)
       return true;
     size_t MaxRest = (localCap(T) - Th.L.size() - 1);
     for (unsigned U = T + 1; U < Scope.Threads; ++U)

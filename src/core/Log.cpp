@@ -151,15 +151,24 @@ bool GlobalLog::containsAll(const LocalLog &L) const {
   return true;
 }
 
-void GlobalLog::commitOwned(const LocalLog &L) {
-  // Scan first, then flip: mutableAt clones any shared chunk on the path,
-  // so batching the reads keeps the common "nothing of ours is here"
-  // probes from deep-copying anything.
+void GlobalLog::commitOwned(const LocalLog &L,
+                            SmallVec<uint32_t, 4> *Flipped) {
+  // Scan first, then flip.  mutableAt clones any shared chunk on the path
+  // and drops this log's reference to the original, which a copy on
+  // another thread may then free under a live iterator; and only entries
+  // that actually flip go through it, so the common "nothing of ours is
+  // here" probes deep-copy nothing.
+  SmallVec<uint32_t, 4> Own;
   size_t I = 0;
   for (const GlobalEntry &E : Chain) {
     if (E.Kind != GlobalKind::Committed && L.contains(E.Op.Id))
-      Chain.mutableAt(I).Kind = GlobalKind::Committed;
+      Own.push_back(static_cast<uint32_t>(I));
     ++I;
+  }
+  for (uint32_t J : Own) {
+    Chain.mutableAt(J).Kind = GlobalKind::Committed;
+    if (Flipped)
+      Flipped->push_back(J);
   }
 }
 

@@ -23,10 +23,11 @@
 /// ("notations are lifted to lists where equality is given by ids").
 ///
 /// Both logs are backed by refcounted copy-on-write chunk chains
-/// (support/Cow.h): copying a log — which the explorer does once per
-/// emitted successor, inside a whole-machine copy — is one atomic
+/// (support/Cow.h): copying a log — which the parallel explorer does once
+/// per handed-off successor, inside a whole-machine copy — is one atomic
 /// increment, and appends go in place whenever the owning machine is the
-/// only one referencing the head chunk (the sequential-scheduler case).
+/// only one referencing the head chunk (the scheduler, the sequential
+/// explorer and every dry run, which fire in place and roll back).
 /// entries() returns the log itself, which iterates like the vector it
 /// used to be, so combinators and call sites read naturally.
 ///
@@ -79,6 +80,7 @@ public:
   void append(LocalEntry E) { Chain.push(std::move(E)); }
   void truncate(size_t NewSize) { Chain.truncate(NewSize); }
   void removeAt(size_t I) { Chain.removeAt(I); }
+  void insertAt(size_t I, LocalEntry E) { Chain.insertAt(I, std::move(E)); }
   void setKind(size_t I, LocalKind K) { Chain.mutableAt(I).Kind = K; }
 
   /// Index of the entry with operation id \p Id, or npos.
@@ -141,7 +143,10 @@ public:
   const GlobalLog &entries() const { return *this; }
 
   void append(GlobalEntry E) { Chain.push(std::move(E)); }
+  void truncate(size_t NewSize) { Chain.truncate(NewSize); }
   void removeAt(size_t I) { Chain.removeAt(I); }
+  void insertAt(size_t I, GlobalEntry E) { Chain.insertAt(I, std::move(E)); }
+  void setKind(size_t I, GlobalKind K) { Chain.mutableAt(I).Kind = K; }
 
   size_t indexOf(OpId Id) const;
   static constexpr size_t npos = static_cast<size_t>(-1);
@@ -172,8 +177,10 @@ public:
 
   /// cmt(G, L, G'): mark every entry whose op occurs in \p L as committed.
   /// (CMT criterion (iv); pld entries in L are already committed by CMT
-  /// criterion (iii), so re-marking them is a no-op.)
-  void commitOwned(const LocalLog &L);
+  /// criterion (iii), so re-marking them is a no-op.)  The index of each
+  /// entry actually flipped is appended to \p Flipped when it is non-null.
+  void commitOwned(const LocalLog &L,
+                   SmallVec<uint32_t, 4> *Flipped = nullptr);
 
   std::string toString() const;
 

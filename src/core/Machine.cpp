@@ -52,6 +52,12 @@ bool PushPullMachine::beginTx(TxId T) {
   ThreadState &Th = threadMut(T);
   if (Th.InTx || Th.Pending.empty())
     return false;
+  if (recordUndo(UndoKind::Begin, T)) {
+    UndoSaved &S = Undo.Saved.emplace_back();
+    S.Code = std::move(Th.Code);
+    S.OrigCode = std::move(Th.OrigCode);
+    S.Sigma = std::move(Th.OrigSigma);
+  }
   Th.Code = Th.Pending.front();
   Th.Pending.eraseFront();
   Th.OrigCode = Th.Code;
@@ -264,6 +270,7 @@ RuleResult PushPullMachine::app(TxId T, size_t StepIdx, size_t CompIdx) {
   Th.L.append(std::move(E));
   Th.Sigma = std::move(Post);
   Th.Code = It.Rest;
+  recordUndo(UndoKind::App, T);
 
   recordEvent(T, RuleKind::App, &Op);
   checkInvariantsAfterStep("APP");
@@ -290,6 +297,12 @@ RuleResult PushPullMachine::unapp(TxId T) {
                        : StaticText("last local entry is pld, not npshd"))});
 
   Operation Op = Last.Op;
+  if (recordUndo(UndoKind::UnApp, T)) {
+    UndoSaved &S = Undo.Saved.emplace_back();
+    S.Code = std::move(Th.Code);
+    S.Sigma = std::move(Th.Sigma);
+    Undo.LocalEntries.push_back(Last);
+  }
   Th.Sigma = Last.Op.Pre;    // Recall the previous local stack...
   Th.Code = Last.SavedCode;  // ...and the previous code.
   Th.L.truncate(Th.L.size() - 1);
@@ -364,19 +377,23 @@ RuleResult PushPullMachine::push(TxId T, size_t LocalIdx) {
   if (!reportsPass(Rs))
     return RuleResult::rejected(RuleKind::Push, std::move(Rs));
 
-  // Build the global entry before setKind: the CoW flag flip may clone the
-  // chunk holding E, and Op must be read from the original.
+  // Build the global entry before setKind.  The CoW flag flip may clone
+  // the chunk holding E and drop this log's reference to the original,
+  // which a machine copy on another thread may then free: E and Op are not
+  // read past it.
   GlobalEntry GE;
   GE.Op = Op;
   GE.Kind = GlobalKind::Uncommitted;
   GE.Owner = T;
   Th.L.setKind(LocalIdx, LocalKind::Pushed);
   G.append(std::move(GE));
+  recordUndo(UndoKind::Push, T, LocalIdx);
+  const Operation &Pushed = G[G.size() - 1].Op;
 
-  recordEvent(T, RuleKind::Push, &Op);
+  recordEvent(T, RuleKind::Push, &Pushed);
   checkInvariantsAfterStep("PUSH");
   RuleResult Out = RuleResult::applied(RuleKind::Push, std::move(Rs));
-  recordAudit(T, &Op, Out);
+  recordAudit(T, &Pushed, Out);
   return Out;
 }
 
@@ -437,6 +454,8 @@ RuleResult PushPullMachine::unpush(TxId T, size_t LocalIdx) {
   if (!reportsPass(Rs))
     return RuleResult::rejected(RuleKind::UnPush, std::move(Rs));
 
+  if (recordUndo(UndoKind::UnPush, T, LocalIdx, GIdx))
+    Undo.GlobalEntries.push_back(G[GIdx]);
   Th.L.setKind(LocalIdx, LocalKind::NotPushed);
   G.removeAt(GIdx);
 
@@ -493,6 +512,7 @@ RuleResult PushPullMachine::pull(TxId T, size_t GlobalIdx) {
   E.Op = Op;
   E.Kind = LocalKind::Pulled;
   Th.L.append(std::move(E));
+  recordUndo(UndoKind::Pull, T);
 
   recordEvent(T, RuleKind::Pull, &Op, WasUncommitted);
   checkInvariantsAfterStep("PULL");
@@ -535,6 +555,8 @@ RuleResult PushPullMachine::unpull(TxId T, size_t LocalIdx) {
   if (!reportsPass(Rs))
     return RuleResult::rejected(RuleKind::UnPull, std::move(Rs));
 
+  if (recordUndo(UndoKind::UnPull, T, LocalIdx))
+    Undo.LocalEntries.push_back(Th.L[LocalIdx]);
   Th.L.removeAt(LocalIdx);
 
   recordEvent(T, RuleKind::UnPull, &Op);
@@ -596,7 +618,9 @@ RuleResult PushPullMachine::commit(TxId T) {
     return RuleResult::rejected(RuleKind::Commit, std::move(Rs));
 
   // CMT criterion (iv): G2 = cmt(G1, L1, G2) — flip own entries to gCmt.
-  G.commitOwned(Th.L);
+  UndoSaved *Save =
+      recordUndo(UndoKind::Commit, T) ? &Undo.Saved.emplace_back() : nullptr;
+  G.commitOwned(Th.L, Save ? &Save->Flipped : nullptr);
   noteCriterion(Rs, "CMT criterion (iv)", Tri::Yes,
                 "own global entries marked gCmt");
 
@@ -607,6 +631,13 @@ RuleResult PushPullMachine::commit(TxId T) {
   Rec.FinalSigma = Th.Sigma;
   Rec.CommitSeq = CommitSeq++;
   Committed.push_back(std::move(Rec));
+  // Under a mark the overwritten state moves onto the trail (OrigCode is
+  // the committed record's Body).
+  if (Save) {
+    Save->KeyCache = std::move(CommittedKeyCache);
+    Save->Code = std::move(Th.Code);
+    Save->L = std::move(Th.L);
+  }
   CommittedKeyCache.reset();
 
   Th.InTx = false;
@@ -620,6 +651,100 @@ RuleResult PushPullMachine::commit(TxId T) {
   RuleResult Out = RuleResult::applied(RuleKind::Commit, std::move(Rs));
   recordAudit(T, nullptr, Out);
   return Out;
+}
+
+bool PushPullMachine::recordUndo(UndoKind K, TxId T, size_t Local,
+                                 size_t Global) {
+  if (!Undo.Open)
+    return false;
+  Undo.Records.push_back({K, T, static_cast<uint32_t>(Local),
+                          static_cast<uint32_t>(Global)});
+  return true;
+}
+
+PushPullMachine::UndoMark PushPullMachine::mark() {
+  UndoMark M;
+  M.Records = Undo.Records.size();
+  M.TraceSize = Trace.size();
+  M.TraceSeq = Trace.nextSeq();
+  M.AuditSize = Audit.size();
+  M.Ids = Ids;
+  M.Depth = ++Undo.Open;
+  return M;
+}
+
+void PushPullMachine::rollbackTo(const UndoMark &M) {
+  assert(Undo.Open == M.Depth && "undo marks roll back last in, first out");
+  while (Undo.Records.size() > M.Records) {
+    const UndoRecord R = Undo.Records.back();
+    Undo.Records.pop_back();
+    ThreadState &Th = threadMut(R.Tid);
+    switch (R.Kind) {
+    case UndoKind::Begin: {
+      UndoSaved &S = Undo.Saved.back();
+      Th.Pending.insertFront(std::move(Th.Code));
+      Th.Code = std::move(S.Code);
+      Th.OrigCode = std::move(S.OrigCode);
+      Th.OrigSigma = std::move(S.Sigma);
+      Th.InTx = false;
+      Undo.Saved.pop_back();
+      break;
+    }
+    case UndoKind::App: {
+      // The entry APP appended holds the code and stack it replaced.
+      size_t Last = Th.L.size() - 1;
+      const LocalEntry &E = Th.L[Last];
+      Th.Sigma = E.Op.Pre;
+      Th.Code = E.SavedCode;
+      Th.L.truncate(Last);
+      break;
+    }
+    case UndoKind::UnApp: {
+      UndoSaved &S = Undo.Saved.back();
+      Th.L.append(std::move(Undo.LocalEntries.back()));
+      Th.Code = std::move(S.Code);
+      Th.Sigma = std::move(S.Sigma);
+      Undo.LocalEntries.pop_back();
+      Undo.Saved.pop_back();
+      break;
+    }
+    case UndoKind::Push:
+      G.truncate(G.size() - 1);
+      Th.L.setKind(R.Local, LocalKind::NotPushed);
+      break;
+    case UndoKind::UnPush:
+      G.insertAt(R.Global, std::move(Undo.GlobalEntries.back()));
+      Undo.GlobalEntries.pop_back();
+      Th.L.setKind(R.Local, LocalKind::Pushed);
+      break;
+    case UndoKind::Pull:
+      Th.L.truncate(Th.L.size() - 1);
+      break;
+    case UndoKind::UnPull:
+      Th.L.insertAt(R.Local, std::move(Undo.LocalEntries.back()));
+      Undo.LocalEntries.pop_back();
+      break;
+    case UndoKind::Commit: {
+      UndoSaved &S = Undo.Saved.back();
+      for (uint32_t I : S.Flipped)
+        G.setKind(I, GlobalKind::Uncommitted);
+      Th.OrigCode = Committed[Committed.size() - 1].Body;
+      Committed.pop_back();
+      CommittedKeyCache = std::move(S.KeyCache);
+      --CommitSeq;
+      Th.Code = std::move(S.Code);
+      Th.L = std::move(S.L);
+      Th.InTx = true;
+      --Th.Commits;
+      Undo.Saved.pop_back();
+      break;
+    }
+    }
+  }
+  Trace.rollback(M.TraceSize, M.TraceSeq);
+  Audit.resize(M.AuditSize);
+  Ids = M.Ids;
+  --Undo.Open;
 }
 
 namespace {
@@ -851,6 +976,7 @@ void PushPullMachine::configKeyCanonicalInto(
 
 void PushPullMachine::installForAnalysis(ThreadList NewThreads,
                                          GlobalLog NewG, OpId MaxUsedId) {
+  assert(!Undo.Open && "installing a configuration under an open mark");
   Threads = std::move(NewThreads);
   G = std::move(NewG);
   Ids.reservePast(MaxUsedId);

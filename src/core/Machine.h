@@ -31,7 +31,11 @@
 /// oracle replays.
 ///
 /// Rule attempts never mutate state when rejected, so schedulers and the
-/// exhaustive explorer may probe moves freely.
+/// exhaustive explorer may probe moves freely.  Applied ones can be taken
+/// back: under an open mark() every BEGIN and applied rule records its
+/// exact inverse on an undo trail, and rollbackTo() replays those inverses
+/// newest first.  The sequential explorer, the engines' validation dry runs
+/// and the static audits fire rules in place this way instead of on copies.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -91,8 +95,8 @@ struct MachineConfig {
   /// Record a TraceEvent per applied rule.  The trace feeds the opacity
   /// classifier, scheduler statistics, and scenario reports; the explorer
   /// switches it off — it reads the trace only when printing a failing
-  /// terminal, and the per-rule appends plus the per-copy chain shares are
-  /// pure overhead across millions of successor expansions.
+  /// terminal, and the per-rule appends and rollbacks are pure overhead
+  /// across millions of successor expansions.
   bool RecordTrace = true;
   /// Test-only fault injection: the criterion with exactly this
   /// paper-style name (e.g. "PUSH criterion (ii)") is reported as passing
@@ -101,10 +105,13 @@ struct MachineConfig {
   /// it.  Empty (no injection) in production.
   std::string DisabledCriterion;
   /// Observer invoked after every *applied* rule, once the configuration
-  /// mutation is complete.  The machine passed in is the one that fired
-  /// (copies carry the callback but pass themselves), so differential
+  /// mutation is complete — including firings under a mark that are later
+  /// rolled back (the engines' validation dry runs), which it sees in the
+  /// configuration they fired in.  The machine passed in is the one that
+  /// fired (copies carry the callback but pass themselves), so differential
   /// checkers can re-validate invariants after every rule firing without
-  /// the hard-abort semantics of ValidationLevel::Full.
+  /// the hard-abort semantics of ValidationLevel::Full.  Rolling back calls
+  /// it for nothing.
   std::function<void(const PushPullMachine &M, RuleKind K, TxId T)>
       OnRuleApplied;
 };
@@ -153,8 +160,9 @@ struct AppChoice {
   std::vector<Completion> Completions;
 };
 
-/// The PUSH/PULL machine.  Copyable (for the explorer's DFS): copies share
-/// the spec and the mover checker's memo tables, which are pure caches.
+/// The PUSH/PULL machine.  Copyable (the parallel explorer hands copies
+/// to its work queue): copies share the spec and the mover checker's memo
+/// tables, which are pure caches, and start with an empty undo trail.
 class PushPullMachine {
 public:
   PushPullMachine(const SequentialSpec &Spec, MoverChecker &Movers,
@@ -202,12 +210,43 @@ public:
   /// CMT the thread's transaction.
   RuleResult commit(TxId T);
 
+  // -- Undo trail -----------------------------------------------------------
+
+  /// A position in the undo trail, from mark().  It also carries what a
+  /// rollback restores wholesale because rules only ever extend it: the
+  /// trace and audit lengths, the trace's next sequence number, and the
+  /// op-id source (so the next APP draws the id it would draw on a copy).
+  struct UndoMark {
+    size_t Records = 0;
+    size_t TraceSize = 0;
+    uint64_t TraceSeq = 0;
+    size_t AuditSize = 0;
+    OpIdSource Ids;
+    unsigned Depth = 0;
+  };
+
+  /// Open a mark.  Until it is rolled back, every beginTx and every applied
+  /// rule pushes one undo record; with no mark open nothing is recorded.
+  /// Marks nest last in, first out.
+  UndoMark mark();
+
+  /// Undo, newest first, every BEGIN and rule applied since \p M was
+  /// opened, and close \p M.  Each record is undone by the exact inverse of
+  /// its mutation (APP and PULL truncate L, PUSH truncates G and unflags
+  /// its entry, CMT moves L back and drops its committed record, the
+  /// backward rules re-insert what they removed), so the machine is left
+  /// as it was at mark() — the paper's UNAPP∘APP, UNPUSH∘PUSH and
+  /// UNPULL∘PULL identities, applied raw: rolling back evaluates no
+  /// criterion, calls no OnRuleApplied and records nothing.  References
+  /// into the logs taken after \p M was opened dangle afterwards.
+  void rollbackTo(const UndoMark &M);
+
   // -- Observation ----------------------------------------------------------
 
   const GlobalLog &global() const { return G; }
   /// Thread container: inline up to four threads so that copying a machine
-  /// (the explorer does this once per applied rule) performs no heap
-  /// allocation for the thread array itself.
+  /// (the parallel explorer does this once per handed-off successor)
+  /// performs no heap allocation for the thread array itself.
   using ThreadList = SmallVec<ThreadState, 4>;
 
   const ThreadList &threads() const { return Threads; }
@@ -253,7 +292,7 @@ public:
   /// \p MaxUsedId seeds the fresh-id source past every installed
   /// operation so APP probes cannot collide with installed ids.  Trace,
   /// audit, and committed history are reset: an installed shape is a
-  /// point configuration, not a history.
+  /// point configuration, not a history.  No mark may be open.
   void installForAnalysis(ThreadList NewThreads, GlobalLog NewG,
                           OpId MaxUsedId);
 
@@ -369,6 +408,47 @@ private:
                    bool PulledUncommitted = false);
   void recordAudit(TxId T, const Operation *Op, const RuleResult &R);
 
+  /// What one undo record inverts.
+  enum class UndoKind : uint8_t {
+    Begin, App, UnApp, Push, UnPush, Pull, UnPull, Commit
+  };
+  /// One BEGIN or applied rule: the thread and the log positions its
+  /// inverse needs.  What a configuration cannot recompute rides on the
+  /// trail's side stacks, pushed in record order.
+  struct UndoRecord {
+    UndoKind Kind;
+    TxId Tid;
+    uint32_t Local = 0;  ///< L index (PUSH, UNPUSH, UNPULL).
+    uint32_t Global = 0; ///< G index (UNPUSH).
+  };
+  /// The thread fields and caches BEGIN, UNAPP and CMT overwrite.
+  struct UndoSaved {
+    CodePtr Code;
+    CodePtr OrigCode;   ///< BEGIN.
+    Stack Sigma;        ///< BEGIN: OrigSigma; UNAPP: Sigma.
+    LocalLog L;         ///< CMT.
+    std::shared_ptr<const std::string> KeyCache; ///< CMT.
+    SmallVec<uint32_t, 4> Flipped; ///< CMT: G entries it marked gCmt.
+  };
+  /// The undo trail.  Copying a machine starts the copy's trail empty: a
+  /// mark belongs to the machine that opened it.
+  struct UndoTrail {
+    UndoTrail() = default;
+    UndoTrail(const UndoTrail &) {}
+    UndoTrail(UndoTrail &&) = default;
+    UndoTrail &operator=(const UndoTrail &) { return *this = UndoTrail(); }
+    UndoTrail &operator=(UndoTrail &&) = default;
+
+    unsigned Open = 0;
+    std::vector<UndoRecord> Records;
+    std::vector<UndoSaved> Saved;          ///< BEGIN, UNAPP, CMT.
+    std::vector<LocalEntry> LocalEntries;  ///< UNAPP, UNPULL.
+    std::vector<GlobalEntry> GlobalEntries; ///< UNPUSH.
+  };
+
+  /// Push an undo record when a mark is open; returns whether it did.
+  bool recordUndo(UndoKind K, TxId T, size_t Local = 0, size_t Global = 0);
+
   const SequentialSpec *Spec;
   MoverChecker *Movers;
   MachineConfig Config;
@@ -378,16 +458,17 @@ private:
   OpIdSource Ids;
   RuleTrace Trace;
   std::vector<AuditEntry> Audit;
-  /// Copy-on-write: the explorer's per-successor machine copies share the
+  /// Copy-on-write: the parallel explorer's hand-off copies share the
   /// history; the oracle and configKey read it constantly, commits extend
   /// it rarely.
   CowVec<CommittedTx> Committed;
   /// Memoized configKey committed section (relabeling-invariant, extended
-  /// only by CMT).  Copies share it; commit() invalidates.  Each machine
-  /// owns its shared_ptr object, so resetting one copy's cache never races
-  /// with another's.
+  /// only by CMT).  Copies share it; commit() invalidates it, moving it
+  /// onto the undo trail under a mark.  Each machine owns its shared_ptr
+  /// object, so resetting one copy's cache never races with another's.
   mutable std::shared_ptr<const std::string> CommittedKeyCache;
   uint64_t CommitSeq = 0;
+  UndoTrail Undo;
   /// Counts whole-machine copies into memstats::MachineCopies.
   [[no_unique_address]] memstats::CopyTick CopyTick;
 };

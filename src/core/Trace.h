@@ -47,12 +47,11 @@ struct TraceEvent {
 ///
 /// Stored as a copy-on-write chunk chain (support/Cow.h): copying a trace
 /// is one refcount bump and shares the recorded prefix with the original.
-/// The explorer copies whole machines once per emitted successor, so trace
-/// copies are on its innermost loop; appends after a copy open a fresh
-/// head chunk and never disturb the original, while the sequential
-/// scheduler (sole owner) appends in place, eight events per chunk
-/// allocation.  Teardown of the chain is iterative, so multi-thousand-
-/// event scheduler traces never overflow the stack.
+/// Appends after a copy open a fresh head chunk and never disturb the
+/// original, while a sole owner (the scheduler, and a machine rolling back
+/// its own dry runs) appends in place, eight events per chunk allocation.
+/// Teardown of the chain is iterative, so multi-thousand-event scheduler
+/// traces never overflow the stack.
 class RuleTrace {
 public:
   void record(TraceEvent E) {
@@ -83,6 +82,17 @@ public:
   void clear() {
     Chain.clear();
     NextSeq = 0;
+  }
+
+  /// The sequence number the next recorded event gets.
+  uint64_t nextSeq() const { return NextSeq; }
+
+  /// Forget every event past the first \p Size and resume numbering at
+  /// \p Seq: the machine's undo trail restores the trace it marked.
+  void rollback(size_t Size, uint64_t Seq) {
+    if (Size < Chain.size())
+      Chain.truncate(Size);
+    NextSeq = Seq;
   }
 
 private:

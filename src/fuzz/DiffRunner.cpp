@@ -41,9 +41,9 @@ DiffReport DiffRunner::run(const Scenario &Case) const {
   memstats::Snapshot MemBefore = memstats::read();
 
   // (3) Invariants after every rule firing, via the observation hook.  The
-  // hook receives the machine that fired — engines probe on *copies* of
-  // the machine (optimistic validation dry-runs), and those firings are
-  // checked against the copy's own configuration.
+  // hook receives the machine that fired.  Engines' validation dry runs
+  // fire on the live machine under an undo mark and roll back afterwards,
+  // so those firings are checked in the configuration they fired in.
   MachineConfig MC;
   MC.DisabledCriterion = Config.DisabledCriterion;
   if (Config.CheckInvariantsEachRule) {

@@ -143,8 +143,10 @@ void enumerateCandidates(const PushPullMachine &M,
 }
 
 /// Expand the successors of \p M under the configured reduction, counting
-/// into \p R.  \p Emit receives each successor machine together with its
-/// sleep set.  Shared by the sequential and parallel searches so their
+/// into \p R.  Each candidate fires on \p M itself under an undo mark;
+/// \p Emit receives the successor (\p M, until the rollback) together
+/// with its sleep set, and the rollback restores \p M before the next
+/// candidate.  Shared by the sequential and parallel searches so their
 /// enumeration (and thus their visited closure) is identical per
 /// reduction mode.
 ///
@@ -159,7 +161,7 @@ void enumerateCandidates(const PushPullMachine &M,
 /// C (their firing identities are stable across C: no independent firing
 /// reorders another thread's local log or removes global entries).
 template <typename Emit>
-void expandReduced(const PushPullMachine &M, const ExplorerConfig &Config,
+void expandReduced(PushPullMachine &M, const ExplorerConfig &Config,
                    const SleepSet &Sleep, ExplorerReport &R,
                    Emit &&EmitNext) {
   Arena::Scope CandScope(CandidateArena);
@@ -177,32 +179,24 @@ void expandReduced(const PushPullMachine &M, const ExplorerConfig &Config,
   const bool UseSleep = usesSleepSets(Config.Reduce);
   SleepSet Accum = Sleep;
 
-  // Rejected rule attempts never mutate the machine (the Machine.h
-  // contract: schedulers may probe moves freely), so one scratch copy of
-  // M is reused across consecutive rejections; only an applied rule
-  // consumes it.  This turns "one machine copy per attempt" into "one
-  // per applied rule plus one", and rejections outnumber applications by
-  // an order of magnitude on typical scopes.
-  std::optional<PushPullMachine> Scratch;
   for (const Candidate &C : Cands) {
     if (UseSleep && Accum.contains(C.F)) {
       ++R.FiringsPruned;
       continue;
     }
-    if (!Scratch)
-      Scratch.emplace(M);
-    if (applyFiring(*Scratch, C.F)) {
+    PushPullMachine::UndoMark Mark = M.mark();
+    if (applyFiring(M, C.F)) {
       ++R.RuleApplications;
       SleepSet ChildSleep =
           UseSleep ? Accum.survivorsAfter(C, Config.CommutDB) : SleepSet();
-      EmitNext(std::move(*Scratch), std::move(ChildSleep));
-      Scratch.reset();
+      EmitNext(M, std::move(ChildSleep));
       if (UseSleep)
         Accum.insert(C);
     } else if (C.F.Kind != FiringKind::Begin) {
       // Guarded begin cannot fail, so it never counts as rejected.
       ++R.RejectedAttempts;
     }
+    M.rollbackTo(Mark);
   }
 }
 
@@ -369,8 +363,8 @@ void Explorer::canonicalKey(const PushPullMachine &M, SleepSet &Sleep,
 ExplorerReport
 Explorer::explore(const std::vector<std::vector<CodePtr>> &Programs) {
   // The explorer reads the trace only when rendering a failing terminal;
-  // recording it would cost a chain append per applied rule and a chain
-  // share per successor copy.
+  // recording it would cost a chain append and a rollback per applied rule
+  // and, in the pool, a chain share per handed-off copy.
   MachineConfig MC = Config.Machine;
   MC.RecordTrace = false;
   PushPullMachine M(Spec, Movers, MC);
@@ -385,7 +379,7 @@ Explorer::explore(const std::vector<std::vector<CodePtr>> &Programs) {
   if (Config.Threads > 1)
     return exploreParallel(S, std::move(M));
   Worker W(Spec, Movers);
-  visit(S, W, std::move(M), 0, SleepSet());
+  visit(S, W, M, 0, SleepSet());
   return std::move(W.Report);
 }
 
@@ -459,14 +453,13 @@ bool Explorer::enter(Search &S, Worker &W, const PushPullMachine &M,
   return false;
 }
 
-void Explorer::visit(Search &S, Worker &W, PushPullMachine M, size_t Depth,
-                     SleepSet Sleep) {
+void Explorer::visit(Search &S, Worker &W, PushPullMachine &M, size_t Depth,
+                     const SleepSet &Sleep) {
   if (!enter(S, W, M, Depth, Sleep))
     return;
   expandReduced(M, Config, Sleep, W.Report,
-                [&](PushPullMachine Next, SleepSet NextSleep) {
-                  visit(S, W, std::move(Next), Depth + 1,
-                        std::move(NextSleep));
+                [&](PushPullMachine &Next, const SleepSet &NextSleep) {
+                  visit(S, W, Next, Depth + 1, NextSleep);
                 });
 }
 
@@ -499,11 +492,12 @@ ExplorerReport Explorer::exploreParallel(Search &S, PushPullMachine Root) {
       }
 
       Item->M.setMovers(WorkerMovers);
+      // The hand-off: each child is a copy of the successor, taken before
+      // the rollback restores Item->M.
       if (enter(S, W, Item->M, Item->Depth, Item->Sleep))
         expandReduced(Item->M, Config, Item->Sleep, W.Report,
-                      [&](PushPullMachine Next, SleepSet NextSleep) {
-                        Children.push_back(WorkItem{std::move(Next),
-                                                    Item->Depth + 1,
+                      [&](const PushPullMachine &Next, SleepSet NextSleep) {
+                        Children.push_back(WorkItem{Next, Item->Depth + 1,
                                                     std::move(NextSleep)});
                       });
 

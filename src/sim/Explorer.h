@@ -32,9 +32,11 @@
 /// Both searches take every configuration through one step,
 /// Explorer::enter, the only place that counts a configuration, checks
 /// an invariant or asks the oracle.  With ExplorerConfig::Threads == 1 a
-/// recursive DFS calls it; with Threads > 1 a worker pool does, over a
-/// shared LIFO work queue of configurations (sleep sets travel with the
-/// work items) and a visited set sharded 64 ways.  Each worker owns its
+/// recursive DFS calls it on one machine, firing each successor in place
+/// and rolling it back (the machine's undo trail); with Threads > 1 a
+/// worker pool does, over a shared LIFO work queue of configuration copies
+/// (sleep sets travel with the work items) and a visited set sharded 64
+/// ways.  Each worker owns its
 /// mover checker, oracle and report (verdicts are cache-independent, so
 /// worker-local caches are sound), and after join ExplorerReport::absorb
 /// sums the reports in worker order.  A fresh configuration takes its
@@ -203,10 +205,12 @@ private:
   bool enter(Search &S, Worker &W, const PushPullMachine &M, size_t Depth,
              const SleepSet &Sleep);
 
-  /// The Threads == 1 search: a recursive DFS that builds each successor
-  /// only after the previous successor's subtree is done.
-  void visit(Search &S, Worker &W, PushPullMachine M, size_t Depth,
-             SleepSet Sleep);
+  /// The Threads == 1 search: a recursive DFS over one machine.  Each
+  /// successor is fired on \p M in place and rolled back once its subtree
+  /// is done, so \p M is as it was when visit returns and the search
+  /// copies no machine.
+  void visit(Search &S, Worker &W, PushPullMachine &M, size_t Depth,
+             const SleepSet &Sleep);
 
   /// The Threads > 1 search: a worker pool over a shared LIFO frontier.
   ExplorerReport exploreParallel(Search &S, PushPullMachine Root);

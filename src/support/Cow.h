@@ -8,8 +8,10 @@
 /// \file
 /// Structural sharing for the machine's append-mostly state.  The PUSH/PULL
 /// semantics is persistent by nature — a rule firing appends to one log and
-/// leaves everything else alone — so the explorer's per-successor machine
-/// copy should share, not duplicate.
+/// leaves everything else alone — so a machine copy (the parallel
+/// explorer's hand-off of each successor to its work queue) should share,
+/// not duplicate.  A machine that is never copied owns every chunk
+/// outright and writes them all in place.
 ///
 /// CowChain<T, Cap> — a refcounted chain of fixed-capacity chunks, newest
 /// first (Head->Prev walks toward the oldest entries).  Copying a chain is
@@ -23,9 +25,9 @@
 ///    only adjusts it (dropping whole chunks when they fall out of view).
 ///    Entries past every view ("orphans") die with their chunk, or are
 ///    reclaimed lazily when an append finds the chunk unique again.
-///  * Mid-chain mutation (setAt/removeAt) clones the shared chunks on the
-///    path from the head down to the target — a bounded deep copy, counted
-///    in memstats::DeepCopies.
+///  * Mid-chain mutation (mutableAt/removeAt/insertAt) clones the shared
+///    chunks on the path from the head down to the target — a bounded deep
+///    copy, counted in memstats::DeepCopies.
 ///
 /// Invariants: a non-head chunk is always fully in view of every handle
 /// that can reach it; Chunk::PrevCount (entries in older chunks) is the
@@ -50,6 +52,7 @@
 #include "support/Arena.h"
 #include "support/SmallVec.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cstddef>
@@ -191,12 +194,49 @@ public:
     --Size;
   }
 
+  /// Insert \p V before entry \p I (I == size() appends) — the inverse of
+  /// removeAt.  Clones shared chunks on the path like removeAt; a full
+  /// target chunk is split, its entries from \p I on moving to a new chunk
+  /// linked just above it.
+  void insertAt(size_t I, T V) {
+    assert(I <= Size && "insertAt out of range");
+    if (I == Size) {
+      push(std::move(V));
+      return;
+    }
+    Chunk *Target = ensureUniquePath(I);
+    size_t From = I - Target->PrevCount;
+    T *S = Target->slots();
+    if (Target->Count == Cap) {
+      Chunk **Link = &Head;
+      while (*Link != Target)
+        Link = &(*Link)->Prev;
+      Chunk *Upper = newChunk();
+      for (size_t K = From; K < Target->Count; ++K) {
+        ::new (static_cast<void *>(Upper->slots() + (K - From)))
+            T(std::move(S[K]));
+        S[K].~T();
+      }
+      Upper->Count = static_cast<uint32_t>(Target->Count - From);
+      Upper->PrevCount = I; // Bumped past the new entry below.
+      Upper->Prev = Target; // Takes over the reference *Link held.
+      Target->Count = static_cast<uint32_t>(From);
+      *Link = Upper;
+    }
+    ::new (static_cast<void *>(S + Target->Count)) T(std::move(V));
+    ++Target->Count;
+    std::rotate(S + From, S + Target->Count - 1, S + Target->Count);
+    for (Chunk *C = Head; C != Target; C = C->Prev)
+      ++C->PrevCount;
+    ++Size;
+  }
+
   /// Forward iterator over the view (oldest first).  The initial descent
   /// from the head records the chunks it passes, so crossing a chunk
   /// boundary pops the recorded path instead of re-walking the chain —
-  /// a full sweep is O(entries + chunks) even on the explorer's and the
-  /// engines' heavily fragmented post-copy chains (a fresh head chunk per
-  /// append), where a per-boundary walk from the head would be quadratic.
+  /// a full sweep is O(entries + chunks) even on heavily fragmented
+  /// post-copy chains (a fresh head chunk per append), where a
+  /// per-boundary walk from the head would be quadratic.
   class const_iterator {
   public:
     using value_type = T;
@@ -343,19 +383,50 @@ private:
 };
 
 /// Whole-vector copy-on-write: share on copy, clone on first mutation
-/// under sharing.  view() keeps the familiar const-vector surface.
+/// under sharing.  view() keeps the familiar const-vector surface.  The
+/// reference count is CowChain's protocol, not shared_ptr's: uniqueness is
+/// an acquire load, so a handle that sees itself alone also sees every
+/// read the released handles made, and may write in place (use_count() is
+/// a relaxed load, which would let that write race with a clone another
+/// thread was just taking).
 template <typename T> class CowVec {
+  struct Rep {
+    std::atomic<uint32_t> Refs{1};
+    std::vector<T> V;
+  };
+
 public:
   CowVec() = default;
+  CowVec(const CowVec &O) : R(O.R) {
+    if (R)
+      R->Refs.fetch_add(1, std::memory_order_relaxed);
+  }
+  CowVec(CowVec &&O) noexcept : R(O.R) { O.R = nullptr; }
+  CowVec &operator=(const CowVec &O) {
+    if (O.R)
+      O.R->Refs.fetch_add(1, std::memory_order_relaxed);
+    release(R);
+    R = O.R;
+    return *this;
+  }
+  CowVec &operator=(CowVec &&O) noexcept {
+    if (this != &O) {
+      release(R);
+      R = O.R;
+      O.R = nullptr;
+    }
+    return *this;
+  }
+  ~CowVec() { release(R); }
 
-  bool empty() const { return !Rep || Rep->empty(); }
-  size_t size() const { return Rep ? Rep->size() : 0; }
-  const T &operator[](size_t I) const { return (*Rep)[I]; }
-  const T &front() const { return Rep->front(); }
+  bool empty() const { return !R || R->V.empty(); }
+  size_t size() const { return R ? R->V.size() : 0; }
+  const T &operator[](size_t I) const { return R->V[I]; }
+  const T &front() const { return R->V.front(); }
 
   const std::vector<T> &view() const {
     static const std::vector<T> Empty;
-    return Rep ? *Rep : Empty;
+    return R ? R->V : Empty;
   }
   typename std::vector<T>::const_iterator begin() const {
     return view().begin();
@@ -363,6 +434,7 @@ public:
   typename std::vector<T>::const_iterator end() const { return view().end(); }
 
   void push_back(T V) { own().push_back(std::move(V)); }
+  void pop_back() { own().pop_back(); }
   void insertFront(T V) {
     std::vector<T> &M = own();
     M.insert(M.begin(), std::move(V));
@@ -371,20 +443,31 @@ public:
     std::vector<T> &M = own();
     M.erase(M.begin());
   }
-  void clear() { Rep.reset(); }
-
-private:
-  std::vector<T> &own() {
-    if (!Rep) {
-      Rep = std::make_shared<std::vector<T>>();
-    } else if (Rep.use_count() != 1) {
-      Rep = std::make_shared<std::vector<T>>(*Rep);
-      memstats::DeepCopies.fetch_add(1, std::memory_order_relaxed);
-    }
-    return *Rep;
+  void clear() {
+    release(R);
+    R = nullptr;
   }
 
-  std::shared_ptr<std::vector<T>> Rep;
+private:
+  static void release(Rep *P) {
+    if (P && P->Refs.fetch_sub(1, std::memory_order_acq_rel) == 1)
+      delete P;
+  }
+
+  std::vector<T> &own() {
+    if (!R) {
+      R = new Rep;
+    } else if (R->Refs.load(std::memory_order_acquire) != 1) {
+      Rep *Copy = new Rep;
+      Copy->V = R->V;
+      release(R);
+      R = Copy;
+      memstats::DeepCopies.fetch_add(1, std::memory_order_relaxed);
+    }
+    return R->V;
+  }
+
+  Rep *R = nullptr;
 };
 
 } // namespace pushpull

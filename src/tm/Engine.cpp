@@ -53,10 +53,14 @@ bool TMEngine::rewindTo(TxId T, size_t KeepEntries) {
 
 bool TMEngine::rewindAll(TxId T) { return rewindTo(T, 0); }
 
-size_t TMEngine::firstRejectedPush(TxId T) const {
-  PushPullMachine Probe = *M;
+size_t TMEngine::firstRejectedPush(TxId T) {
+  PushPullMachine::UndoMark Mark = M->mark();
+  size_t Rejected = LocalLog::npos;
   for (size_t I : M->thread(T).L.indicesOf(LocalKind::NotPushed))
-    if (!Probe.push(T, I).Applied)
-      return I;
-  return LocalLog::npos;
+    if (!M->push(T, I).Applied) {
+      Rejected = I;
+      break;
+    }
+  M->rollbackTo(Mark);
+  return Rejected;
 }

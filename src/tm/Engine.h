@@ -111,11 +111,11 @@ protected:
   /// appropriate backward rule(s).  Returns false on rejection.
   bool popTail(TxId T);
 
-  /// Optimistic validation dry run: on a scratch copy of the machine,
-  /// push every unpushed entry of \p T in APP order.  Returns the local
-  /// index of the first push the copy rejects, or LocalLog::npos when
-  /// every push would apply.  The copy is gone when this returns.
-  size_t firstRejectedPush(TxId T) const;
+  /// Optimistic validation dry run: push every unpushed entry of \p T in
+  /// APP order, under an undo mark.  Returns the local index of the first
+  /// push the machine rejects, or LocalLog::npos when every push would
+  /// apply.  The pushes are rolled back before this returns.
+  size_t firstRejectedPush(TxId T);
 
   PushPullMachine *M;
   uint64_t Aborts = 0;

@@ -106,12 +106,14 @@ StepStatus HtmTM::step(TxId T) {
 
   if (Config.WordGranularity && wordConflict(T, *Call, IsWrite)) {
     // The coherence protocol would abort us here.  Count it as a false
-    // conflict when the semantic criteria would have accepted the push.
-    PushPullMachine Probe = *M;
+    // conflict when the semantic criteria would have accepted the push:
+    // fire both in place and roll them back.
+    PushPullMachine::UndoMark Mark = M->mark();
     size_t CompIdx = Per[T].R.below(C.Completions.size());
-    if (Probe.app(T, C.StepIdx, CompIdx).Applied &&
-        Probe.push(T, Probe.thread(T).L.size() - 1).Applied)
+    if (M->app(T, C.StepIdx, CompIdx).Applied &&
+        M->push(T, M->thread(T).L.size() - 1).Applied)
       ++FalseConflicts;
+    M->rollbackTo(Mark);
     return abortSelf(T);
   }
 

@@ -93,6 +93,36 @@ TEST(EngineSurfaces, MatchTheAlgorithms) {
 // Positive criterion audit: every distinct engine surface, two specs.
 // ---------------------------------------------------------------------------
 
+TEST(Shapes, EmissionSequenceIsPinned) {
+  // The enumeration order is the audits' minimality order, so pruning in
+  // the generator must not change which shapes come out or when.  Counts
+  // per entry size and an FNV-1a hash of the describe() sequence were
+  // recorded from a build that walked every capped subtree in full.
+  RegisterSpec Spec("mem", 1, 2);
+  ShapeScope Scope;
+  Scope.IncludeIdle = true;
+  Scope.OtherCodeCalls = true;
+  Scope.MaxAlphabet = 2;
+  std::vector<Operation> Alphabet = shapeAlphabet(Spec, Scope.MaxAlphabet);
+  ASSERT_EQ(Alphabet.size(), 2u);
+  std::vector<uint64_t> PerSize;
+  uint64_t Hash = 1469598103934665603ull;
+  uint64_t Total =
+      enumerateShapes(Scope, Alphabet.size(), [&](const AbstractShape &S) {
+        if (PerSize.size() <= S.entryCount())
+          PerSize.resize(S.entryCount() + 1);
+        ++PerSize[S.entryCount()];
+        for (char C : S.describe(Alphabet) + "\n") {
+          Hash ^= static_cast<unsigned char>(C);
+          Hash *= 1099511628211ull;
+        }
+        return true;
+      });
+  EXPECT_EQ(Total, 10474u);
+  EXPECT_EQ(PerSize, (std::vector<uint64_t>{16, 80, 340, 1206, 3360, 5472}));
+  EXPECT_EQ(Hash, 0x07a18a789df38f16ull);
+}
+
 TEST(CriterionAudit, EveryEngineSurfaceIsCleanOnRegister) {
   auto Reg = regSpec();
   // The audit depends on the engine only through (mask, uncommitted);

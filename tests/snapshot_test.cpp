@@ -16,7 +16,8 @@
 //    (recorded from the PR 3 build, same scopes, same bounds);
 //
 // plus an allocation-regression bound on the fixed E12 scope: visiting a
-// configuration must cost O(1) chunk traffic, not a full-log copy.
+// configuration must cost O(1) chunk traffic, not a full-log copy, and
+// the sequential search, which fires in place and rolls back, none.
 //
 //===----------------------------------------------------------------------===//
 
@@ -229,32 +230,42 @@ TEST(Snapshot, ExplorerTotalsMatchDeepCopyGoldens) {
 // ---------------------------------------------------------------------------
 
 TEST(Snapshot, AllocationBoundsOnE12Scope) {
-  CounterSpec Spec("c", 1, 3);
-  MoverChecker Movers(Spec);
-  ExplorerConfig EC;
-  EC.Reduce = Reduction::None;
-  Explorer E(Spec, Movers, EC);
   std::vector<std::vector<CodePtr>> Programs = parsePrograms(
       {"tx { c.inc(0) }", "tx { c.inc(0) }", "tx { c.inc(0) }"});
+  auto Run = [&](unsigned Threads, ExplorerReport &R) {
+    CounterSpec Spec("c", 1, 3);
+    MoverChecker Movers(Spec);
+    ExplorerConfig EC;
+    EC.Reduce = Reduction::None;
+    EC.Threads = Threads;
+    Explorer E(Spec, Movers, EC);
+    memstats::Snapshot Before = memstats::read();
+    R = E.explore(Programs);
+    return memstats::read().delta(Before);
+  };
 
-  memstats::Snapshot Before = memstats::read();
-  ExplorerReport R = E.explore(Programs);
-  memstats::Snapshot D = memstats::read().delta(Before);
-
+  // The sequential search fires every successor in place and rolls it
+  // back, so it copies no machine, and the chains it owns outright are
+  // written in place.  The measured values on this scope are 0 deep
+  // copies and ~125 B of fresh chunks per configuration; the bounds leave
+  // slack for layout drift but would catch any return to copying
+  // successors (~1.9 deep copies and ~4.9 KiB per configuration).
+  ExplorerReport R;
+  memstats::Snapshot D = Run(1, R);
   ASSERT_EQ(R.ConfigsVisited, 4923u);
-  // Successor expansion copies the machine, not the logs: chunk clones
-  // and fresh chunk bytes per visited configuration stay bounded however
-  // long the logs grow.  The measured values on this scope are ~1.9
-  // deep copies and ~4.9 KiB per config; the bounds leave slack for
-  // layout drift but would catch any return to copy-per-successor
-  // behavior (which costs an order of magnitude more).
   double PerConfigDeep =
       static_cast<double>(D.DeepCopies) / static_cast<double>(R.ConfigsVisited);
   double PerConfigBytes = static_cast<double>(D.SnapshotBytes) /
                           static_cast<double>(R.ConfigsVisited);
-  EXPECT_LT(PerConfigDeep, 4.0);
-  EXPECT_LT(PerConfigBytes, 10240.0);
-  // And the sharing machinery was actually exercised.
-  EXPECT_GT(D.MachineCopies, R.ConfigsVisited / 2);
-  EXPECT_GT(D.ChunkShares, D.DeepCopies);
+  EXPECT_EQ(D.MachineCopies, 0u);
+  EXPECT_LT(PerConfigDeep, 0.05);
+  EXPECT_LT(PerConfigBytes, 512.0);
+
+  // The worker pool hands each successor to its queue as a machine copy,
+  // so there the sharing machinery is exercised.
+  ExplorerReport RP;
+  memstats::Snapshot DP = Run(4, RP);
+  ASSERT_EQ(RP.ConfigsVisited, 4923u);
+  EXPECT_GT(DP.MachineCopies, RP.ConfigsVisited / 2);
+  EXPECT_GT(DP.ChunkShares, DP.DeepCopies);
 }

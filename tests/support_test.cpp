@@ -388,6 +388,53 @@ TEST(CowChain, RemoveAtReindexesNewerChunks) {
     EXPECT_EQ(A[I], I);
 }
 
+TEST(CowChain, InsertAtInvertsRemoveAtSharedOrNot) {
+  // Every position of chains that fill their chunks exactly, partly, and
+  // across fragmented heads, with the chain shared or uniquely owned: an
+  // insert of the removed entry restores the chain, and a copy taken
+  // before either mutation never changes.
+  for (int N : {1, 2, 3, 4, 5, 8, 9}) {
+    for (int At = 0; At < N; ++At) {
+      for (bool Shared : {false, true}) {
+        CowChain<int, 4> A;
+        for (int I = 0; I < N; ++I)
+          A.push(I);
+        CowChain<int, 4> Pin;
+        if (Shared)
+          Pin = A;
+        int Removed = A[At];
+        A.removeAt(At);
+        A.insertAt(At, Removed);
+        ASSERT_EQ(A.size(), static_cast<size_t>(N));
+        int Want = 0;
+        for (int V : A)
+          EXPECT_EQ(V, Want++) << N << " @" << At << " shared=" << Shared;
+        for (int I = 0; I < N; ++I)
+          EXPECT_EQ(A[I], I);
+        for (int I = 0; Shared && I < N; ++I)
+          EXPECT_EQ(Pin[I], I);
+      }
+    }
+  }
+}
+
+TEST(CowChain, InsertAtSplitsAFullChunk) {
+  CowChain<int, 2> A;
+  for (int I = 0; I < 6; ++I)
+    if (I != 2)
+      A.push(I);
+  // Chunks [0 1] [3 4] [5]: index 2 is the first slot of the full middle
+  // chunk, which splits into [2] [3 4].
+  A.insertAt(2, 2);
+  A.push(6);
+  ASSERT_EQ(A.size(), 7u);
+  int Want = 0;
+  for (int V : A)
+    EXPECT_EQ(V, Want++);
+  for (int I = 0; I < 7; ++I)
+    EXPECT_EQ(A[I], I);
+}
+
 TEST(CowChain, IteratorSweepsFragmentedChains) {
   // Build a maximally fragmented chain: every append lands after a share,
   // so every entry opens its own head chunk.
@@ -417,6 +464,20 @@ TEST(CowVec, SharesUntilMutation) {
   EXPECT_EQ(B.front(), 0);
   B.eraseFront();
   EXPECT_EQ(B.front(), 1);
+}
+
+TEST(CowVec, PopBackLeavesSharersAlone) {
+  CowVec<int> A;
+  A.push_back(1);
+  A.push_back(2);
+  CowVec<int> B(A);
+  B.pop_back(); // Clones: A still holds both.
+  ASSERT_EQ(A.size(), 2u);
+  EXPECT_EQ(A[1], 2);
+  ASSERT_EQ(B.size(), 1u);
+  EXPECT_EQ(B[0], 1);
+  A.pop_back(); // Sole owner again: in place.
+  EXPECT_EQ(A.size(), 1u);
 }
 
 TEST(ChunkPool, ConcurrentRefillsReuseReturnedChunks) {
