@@ -66,8 +66,8 @@ std::vector<Operation> LocalLog::ownOps() const {
   return Out;
 }
 
-std::vector<size_t> LocalLog::indicesOf(LocalKind K) const {
-  std::vector<size_t> Out;
+LocalLog::IndexList LocalLog::indicesOf(LocalKind K) const {
+  IndexList Out;
   size_t I = 0;
   for (const LocalEntry &E : Chain) {
     if (E.Kind == K)

@@ -16,6 +16,13 @@
 ///
 ///  * a shared global log  G : list (op x g)  with  g ::= gUCmt | gCmt.
 ///
+/// Every entry also carries the interned denotation of the log prefix that
+/// ends at it (Prefix), so the machine reads [[L]] and [[G]] — the
+/// denotations Figure 5's guards consult — instead of re-folding the log
+/// for every guard.  The machine keeps the prefixes current: appends set
+/// the new entry's, removals and re-insertions re-fold from the changed
+/// index, and truncations and flag flips change none.
+///
 /// This file also provides the log combinators the rules and invariants are
 /// phrased with: the projections |L|_l and |G|_g, difference G \ L,
 /// containment L c= G, ordered intersection G n |L|_pshd, and the commit
@@ -37,6 +44,7 @@
 #define PUSHPULL_CORE_LOG_H
 
 #include "core/Op.h"
+#include "core/Spec.h"
 #include "lang/Ast.h"
 #include "support/Cow.h"
 
@@ -57,6 +65,9 @@ std::string toString(LocalKind K);
 struct LocalEntry {
   Operation Op;
   LocalKind Kind = LocalKind::NotPushed;
+  /// [[L]] of the local log up to and including this entry, interned in
+  /// the owning machine's spec table (see the file comment).
+  StateSetId Prefix = StateTable::EmptySetId;
   /// The code that was active when this entry was created; meaningful for
   /// npshd/pshd entries (the `c` of `npshd c`), null for pld.  UNAPP uses
   /// it to rewind.
@@ -82,6 +93,12 @@ public:
   void removeAt(size_t I) { Chain.removeAt(I); }
   void insertAt(size_t I, LocalEntry E) { Chain.insertAt(I, std::move(E)); }
   void setKind(size_t I, LocalKind K) { Chain.mutableAt(I).Kind = K; }
+  void setPrefix(size_t I, StateSetId S) { Chain.mutableAt(I).Prefix = S; }
+
+  /// [[L]]: the last entry's prefix denotation, or \p Initial when empty.
+  StateSetId denotation(StateSetId Initial) const {
+    return empty() ? Initial : Chain[size() - 1].Prefix;
+  }
 
   /// Index of the entry with operation id \p Id, or npos.
   size_t indexOf(OpId Id) const;
@@ -102,8 +119,10 @@ public:
   /// The transaction's own operations (npshd or pshd, not pld), in order.
   std::vector<Operation> ownOps() const;
 
-  /// Indices of entries with flag \p K.
-  std::vector<size_t> indicesOf(LocalKind K) const;
+  /// Indices of entries with flag \p K, inline for the short logs the
+  /// explorer's candidate enumeration and the engines' push loops scan.
+  using IndexList = SmallVec<size_t, 8>;
+  IndexList indicesOf(LocalKind K) const;
 
   std::string toString() const;
 
@@ -127,6 +146,8 @@ struct GlobalEntry {
   /// formal state (the model identifies ownership via local logs); carried
   /// for diagnostics and for the CMT criterion-(iii) check.
   TxId Owner = 0;
+  /// [[G]] up to and including this entry (see LocalEntry::Prefix).
+  StateSetId Prefix = StateTable::EmptySetId;
 };
 
 /// The shared log G.
@@ -147,6 +168,12 @@ public:
   void removeAt(size_t I) { Chain.removeAt(I); }
   void insertAt(size_t I, GlobalEntry E) { Chain.insertAt(I, std::move(E)); }
   void setKind(size_t I, GlobalKind K) { Chain.mutableAt(I).Kind = K; }
+  void setPrefix(size_t I, StateSetId S) { Chain.mutableAt(I).Prefix = S; }
+
+  /// [[G]]: the last entry's prefix denotation, or \p Initial when empty.
+  StateSetId denotation(StateSetId Initial) const {
+    return empty() ? Initial : Chain[size() - 1].Prefix;
+  }
 
   size_t indexOf(OpId Id) const;
   static constexpr size_t npos = static_cast<size_t>(-1);

@@ -172,30 +172,39 @@ void PushPullMachine::checkInvariantsAfterStep(const char *Rule) {
 }
 
 StateSetId PushPullMachine::localViewId(const ThreadState &Th) const {
-  StateSetId S = Spec->initialId();
-  for (const LocalEntry &E : Th.L.entries()) {
-    if (S == StateTable::EmptySetId)
-      break;
-    S = Spec->applyOpId(S, E.Op);
-  }
+  return Th.L.denotation(Spec->initialId());
+}
+
+namespace {
+
+/// [[Log]] with the entry at \p Skip left out, folded from the stored
+/// prefix before it: UNPUSH (ii)'s and UNPULL (i)'s guard.
+template <typename LogT>
+StateSetId denotationWithout(const SequentialSpec &Spec, const LogT &Log,
+                             size_t Skip) {
+  StateSetId S = Skip ? Log[Skip - 1].Prefix : Spec.initialId();
+  size_t I = 0;
+  for (const auto &E : Log)
+    if (I++ > Skip)
+      S = Spec.applyOpId(S, E.Op);
   return S;
 }
 
-StateSetId PushPullMachine::globalViewId(const Operation *Extra,
-                                         size_t OmitIdx) const {
-  StateSetId S = Spec->initialId();
-  size_t I = 0;
-  for (const GlobalEntry &E : G.entries()) {
-    if (I++ == OmitIdx)
-      continue;
-    if (S == StateTable::EmptySetId)
-      return S;
-    S = Spec->applyOpId(S, E.Op);
+/// Re-fold the prefix denotations of \p Log from index \p From on, after
+/// an entry was removed or re-inserted there or the log was installed
+/// wholesale.  Only prefixes that change are written, so shared chunks
+/// stay shared where nothing moved.
+template <typename LogT>
+void refoldPrefixes(const SequentialSpec &Spec, LogT &Log, size_t From) {
+  StateSetId S = From ? Log[From - 1].Prefix : Spec.initialId();
+  for (size_t I = From; I < Log.size(); ++I) {
+    S = Spec.applyOpId(S, Log[I].Op);
+    if (Log[I].Prefix != S)
+      Log.setPrefix(I, S);
   }
-  if (Extra && S != StateTable::EmptySetId)
-    S = Spec->applyOpId(S, *Extra);
-  return S;
 }
+
+} // namespace
 
 std::vector<AppChoice> PushPullMachine::appChoices(TxId T) const {
   const ThreadState &Th = thread(T);
@@ -236,8 +245,9 @@ RuleResult PushPullMachine::app(TxId T, size_t StepIdx, size_t CompIdx) {
 
   // APP criterion (ii): the local log allows the operation; we realize it
   // by drawing the completion from the local view's allowed completions.
-  const StateSet &View = Spec->setOf(localViewId(Th));
-  std::vector<Completion> Comps = Spec->completionsFrom(View, *Call);
+  StateSetId ViewId = localViewId(Th);
+  std::vector<Completion> Comps =
+      Spec->completionsFrom(Spec->setOf(ViewId), *Call);
   CriterionReports Rs;
   noteCriterion(Rs, "APP criterion (i)", Tri::Yes,
                 "(m, c') drawn from step(c)");
@@ -264,6 +274,7 @@ RuleResult PushPullMachine::app(TxId T, size_t StepIdx, size_t CompIdx) {
                            "the operation's id is fresh"));
 
   LocalEntry E;
+  E.Prefix = Spec->applyOpId(ViewId, Op); // Keys Op before it is copied.
   E.Op = Op;
   E.Kind = LocalKind::NotPushed;
   E.SavedCode = Th.Code; // The pre-code c1, so UNAPP can rewind to it.
@@ -369,9 +380,11 @@ RuleResult PushPullMachine::push(TxId T, size_t LocalIdx) {
     return V;
   });
 
-  // PUSH criterion (iii): G . op is allowed by the sequential spec.
+  // PUSH criterion (iii): G . op is allowed by the sequential spec.  Its
+  // denotation is also the pushed entry's prefix.
+  StateSetId GAfter = Spec->applyOpId(G.denotation(Spec->initialId()), Op);
   evalCriterion(Rs, "PUSH criterion (iii)", [&] {
-    return triOf(globalViewId(&Op) != StateTable::EmptySetId);
+    return triOf(GAfter != StateTable::EmptySetId);
   });
 
   if (!reportsPass(Rs))
@@ -385,6 +398,7 @@ RuleResult PushPullMachine::push(TxId T, size_t LocalIdx) {
   GE.Op = Op;
   GE.Kind = GlobalKind::Uncommitted;
   GE.Owner = T;
+  GE.Prefix = GAfter;
   Th.L.setKind(LocalIdx, LocalKind::Pushed);
   G.append(std::move(GE));
   recordUndo(UndoKind::Push, T, LocalIdx);
@@ -448,7 +462,8 @@ RuleResult PushPullMachine::unpush(TxId T, size_t LocalIdx) {
   // could still have been pushed had op not been — i.e. G with op removed
   // is still allowed.
   evalCriterion(Rs, "UNPUSH criterion (ii)", [&] {
-    return triOf(globalViewId(nullptr, GIdx) != StateTable::EmptySetId);
+    return triOf(denotationWithout(*Spec, G, GIdx) !=
+                 StateTable::EmptySetId);
   });
 
   if (!reportsPass(Rs))
@@ -458,6 +473,7 @@ RuleResult PushPullMachine::unpush(TxId T, size_t LocalIdx) {
     Undo.GlobalEntries.push_back(G[GIdx]);
   Th.L.setKind(LocalIdx, LocalKind::NotPushed);
   G.removeAt(GIdx);
+  refoldPrefixes(*Spec, G, GIdx);
 
   recordEvent(T, RuleKind::UnPush, &Op);
   checkInvariantsAfterStep("UNPUSH");
@@ -481,10 +497,11 @@ RuleResult PushPullMachine::pull(TxId T, size_t GlobalIdx) {
   noteCriterion(Rs, "PULL criterion (i)", triOf(!Th.L.contains(Op.Id)),
                 "operation must not already be in L");
 
-  // PULL criterion (ii): the local log allows op.
+  // PULL criterion (ii): the local log allows op.  Its denotation is also
+  // the pulled entry's prefix.
+  StateSetId LAfter = Spec->applyOpId(localViewId(Th), Op);
   evalCriterion(Rs, "PULL criterion (ii)", [&] {
-    return triOf(Spec->applyOpId(localViewId(Th), Op) !=
-                 StateTable::EmptySetId);
+    return triOf(LAfter != StateTable::EmptySetId);
   });
 
   // PULL criterion (iii) (gray): everything the transaction has done
@@ -511,6 +528,7 @@ RuleResult PushPullMachine::pull(TxId T, size_t GlobalIdx) {
   LocalEntry E;
   E.Op = Op;
   E.Kind = LocalKind::Pulled;
+  E.Prefix = LAfter;
   Th.L.append(std::move(E));
   recordUndo(UndoKind::Pull, T);
 
@@ -540,16 +558,8 @@ RuleResult PushPullMachine::unpull(TxId T, size_t LocalIdx) {
   // UNPULL criterion (i): the local log is allowed without op (the
   // transaction did nothing that depended on it).
   evalCriterion(Rs, "UNPULL criterion (i)", [&] {
-    StateSetId S = Spec->initialId();
-    size_t I = 0;
-    for (const LocalEntry &Rest : Th.L.entries()) {
-      if (I++ == LocalIdx)
-        continue;
-      if (S == StateTable::EmptySetId)
-        break;
-      S = Spec->applyOpId(S, Rest.Op);
-    }
-    return triOf(S != StateTable::EmptySetId);
+    return triOf(denotationWithout(*Spec, Th.L, LocalIdx) !=
+                 StateTable::EmptySetId);
   });
 
   if (!reportsPass(Rs))
@@ -558,6 +568,7 @@ RuleResult PushPullMachine::unpull(TxId T, size_t LocalIdx) {
   if (recordUndo(UndoKind::UnPull, T, LocalIdx))
     Undo.LocalEntries.push_back(Th.L[LocalIdx]);
   Th.L.removeAt(LocalIdx);
+  refoldPrefixes(*Spec, Th.L, LocalIdx);
 
   recordEvent(T, RuleKind::UnPull, &Op);
   checkInvariantsAfterStep("UNPULL");
@@ -632,13 +643,13 @@ RuleResult PushPullMachine::commit(TxId T) {
   Rec.CommitSeq = CommitSeq++;
   Committed.push_back(std::move(Rec));
   // Under a mark the overwritten state moves onto the trail (OrigCode is
-  // the committed record's Body).
+  // the committed record's Body).  The committed-key memo stays valid: it
+  // covers a prefix of the history, which CMT only extends.
   if (Save) {
-    Save->KeyCache = std::move(CommittedKeyCache);
+    Save->CommittedKey = CommittedKey;
     Save->Code = std::move(Th.Code);
     Save->L = std::move(Th.L);
   }
-  CommittedKeyCache.reset();
 
   Th.InTx = false;
   Th.Code = nullptr;
@@ -713,8 +724,11 @@ void PushPullMachine::rollbackTo(const UndoMark &M) {
       Th.L.setKind(R.Local, LocalKind::NotPushed);
       break;
     case UndoKind::UnPush:
+      // The re-inserted entry's own prefix is still right; later ones were
+      // folded without it.
       G.insertAt(R.Global, std::move(Undo.GlobalEntries.back()));
       Undo.GlobalEntries.pop_back();
+      refoldPrefixes(*Spec, G, R.Global + 1);
       Th.L.setKind(R.Local, LocalKind::Pushed);
       break;
     case UndoKind::Pull:
@@ -723,6 +737,7 @@ void PushPullMachine::rollbackTo(const UndoMark &M) {
     case UndoKind::UnPull:
       Th.L.insertAt(R.Local, std::move(Undo.LocalEntries.back()));
       Undo.LocalEntries.pop_back();
+      refoldPrefixes(*Spec, Th.L, R.Local + 1);
       break;
     case UndoKind::Commit: {
       UndoSaved &S = Undo.Saved.back();
@@ -730,7 +745,7 @@ void PushPullMachine::rollbackTo(const UndoMark &M) {
         G.setKind(I, GlobalKind::Uncommitted);
       Th.OrigCode = Committed[Committed.size() - 1].Body;
       Committed.pop_back();
-      CommittedKeyCache = std::move(S.KeyCache);
+      CommittedKey = S.CommittedKey;
       --CommitSeq;
       Th.Code = std::move(S.Code);
       Th.L = std::move(S.L);
@@ -749,61 +764,95 @@ void PushPullMachine::rollbackTo(const UndoMark &M) {
 
 namespace {
 
-/// Fixed-width little-endian field appenders for configKey.  Binary fields
-/// are only ever emitted where the decoder position is unambiguous (after a
+/// One configuration key under construction.  The caller sizes the buffer
+/// once for everything the writer will emit, and every field is then a
+/// store through a cursor rather than a std::string append; destroying
+/// the writer trims the buffer to what was written.  Binary fields are
+/// only ever emitted where the decoder position is unambiguous (after a
 /// count prefix or at a fixed offset), so stray separator-looking bytes
 /// inside them cannot create collisions.
-inline void key32(std::string &Out, uint32_t V) {
-  char B[4];
-  std::memcpy(B, &V, 4);
-  Out.append(B, 4);
-}
-
-inline void key64(std::string &Out, uint64_t V) {
-  char B[8];
-  std::memcpy(B, &V, 8);
-  Out.append(B, 8);
-}
-
-inline void keyStack(std::string &Out, const Stack &S) {
-  key32(Out, static_cast<uint32_t>(S.size()));
-  for (const auto &[Var, Val] : S.entries()) {
-    Out += Var; // Identifier text: never contains NUL.
-    Out.push_back('\0');
-    key64(Out, static_cast<uint64_t>(Val));
+class KeyWriter {
+public:
+  /// Append to \p Out, with room for at most \p Bound bytes.
+  KeyWriter(std::string &Out, size_t Bound) : Out(Out) {
+    size_t Begin = Out.size();
+    Out.resize(Begin + Bound);
+    P = Out.data() + Begin;
   }
+  KeyWriter(const KeyWriter &) = delete;
+  KeyWriter &operator=(const KeyWriter &) = delete;
+  ~KeyWriter() {
+    assert(P <= Out.data() + Out.size() && "key bound too small");
+    Out.resize(static_cast<size_t>(P - Out.data()));
+  }
+
+  void byte(char C) { *P++ = C; }
+  void u32(uint32_t V) {
+    std::memcpy(P, &V, 4);
+    P += 4;
+  }
+  void u64(uint64_t V) {
+    std::memcpy(P, &V, 8);
+    P += 8;
+  }
+  void bytes(const char *Src, size_t N) {
+    std::memcpy(P, Src, N);
+    P += N;
+  }
+  /// A stack: its size, then each binding's name (identifier text, never
+  /// NUL) NUL-terminated and its value.  stackBound() bytes at most.
+  void stack(const Stack &S) {
+    u32(static_cast<uint32_t>(S.size()));
+    for (const auto &[Var, Val] : S.entries()) {
+      std::memcpy(P, Var.data(), Var.size());
+      P += Var.size();
+      byte('\0');
+      u64(static_cast<uint64_t>(Val));
+    }
+  }
+
+  static size_t stackBound(const Stack &S) {
+    size_t N = 4;
+    for (const auto &Binding : S.entries())
+      N += Binding.first.size() + 9;
+    return N;
+  }
+
+private:
+  std::string &Out;
+  char *P;
+};
+
+/// Upper bound of renderThreadKey's output for \p Th.
+size_t threadKeyBound(const ThreadState &Th) {
+  return 4 + KeyWriter::stackBound(Th.Sigma) + 4 + 9 * Th.L.size() + 4;
 }
 
 /// One thread's key section: {c, sigma, L, |Pending|}.  Label-independent
 /// — thread identity enters the key only through section order and the
 /// G-section owner labels — so the symmetry minimization renders each
-/// section once and reassembles per permutation.
-void renderThreadKey(std::string &Out, StateTable &Table,
-                     const ThreadState &Th, const SmallVec<OpId, 16> &GIds) {
+/// section once and reassembles per permutation.  The remaining code is
+/// its interned text id (StateTable::codeKey), 0 outside a transaction.
+void renderThreadKey(KeyWriter &W, StateTable &Table, const ThreadState &Th,
+                     const SmallVec<OpId, 16> &GIds) {
   auto gIndexOf = [&GIds](OpId Id) -> uint32_t {
     for (size_t I = 0; I < GIds.size(); ++I)
       if (GIds[I] == Id)
         return static_cast<uint32_t>(I);
     return UINT32_MAX;
   };
-  if (Th.InTx) {
-    Out += 'T';
-    Out += Th.Code->printed(); // Program text: never contains NUL.
-    Out.push_back('\0');
-  } else {
-    Out += 'i';
-  }
-  keyStack(Out, Th.Sigma);
-  key32(Out, static_cast<uint32_t>(Th.L.size()));
+  W.u32(Th.InTx ? Table.codeKey(*Th.Code) + 1 : 0);
+  W.stack(Th.Sigma);
+  W.u32(static_cast<uint32_t>(Th.L.size()));
   for (const LocalEntry &E : Th.L.entries()) {
-    key32(Out, Table.opKey(E.Op));
-    Out += E.Kind == LocalKind::NotPushed ? 'n'
+    W.u32(Table.opKey(E.Op));
+    W.byte(E.Kind == LocalKind::NotPushed ? 'n'
            : E.Kind == LocalKind::Pushed  ? 'p'
-                                          : 'd';
+                                          : 'd');
     // Position of this op in G links L and G structurally.
-    key32(Out, gIndexOf(E.Op.Id));
+    W.u32(gIndexOf(E.Op.Id));
   }
-  key32(Out, static_cast<uint32_t>(Th.Pending.size()));
+  W.u32(static_cast<uint32_t>(Th.Pending.size()));
 }
 
 } // namespace
@@ -812,8 +861,9 @@ void PushPullMachine::configKeyInto(std::string &Out,
                                     const std::vector<TxId> *LabelOf,
                                     const CommutativityOracle *Commut,
                                     SmallVec<uint32_t, 16> *GOrderOut) const {
-  // Operations are rendered by their interned (Call, Result) key id:
-  // id equality is exactly canonical-text equality, so the key partitions
+  // Operations are rendered by their interned (Call, Result) key id, and
+  // remaining code and committed history by interned text ids: id
+  // equality is exactly canonical-text equality, so the key partitions
   // configurations the same way a fully textual rendering would.  All
   // variable-length sections are count-prefixed, which keeps the encoding
   // injective without any decimal formatting (this runs once per explored
@@ -842,11 +892,14 @@ void PushPullMachine::configKeyInto(std::string &Out,
   SmallVec<OpId, 16> GIds;
   for (size_t J = 0; J < Order.size(); ++J)
     GIds.push_back(G.entries()[Order[J]].Op.Id);
+  size_t Bound = 4 + 9 * GIds.size() + 4;
+  for (const ThreadState &Th : Threads)
+    Bound += threadKeyBound(Th);
   Out.clear();
-  Out.reserve(64 + 48 * Threads.size() + 9 * GIds.size());
+  KeyWriter W(Out, Bound);
   if (!LabelOf) {
     for (const ThreadState &Th : Threads)
-      renderThreadKey(Out, Table, Th, GIds);
+      renderThreadKey(W, Table, Th, GIds);
   } else {
     // Slot l holds the thread relabeled to l.
     SmallVec<uint32_t, 8> AtLabel;
@@ -854,40 +907,56 @@ void PushPullMachine::configKeyInto(std::string &Out,
     for (size_t T = 0; T < Threads.size(); ++T)
       AtLabel[(*LabelOf)[T]] = static_cast<uint32_t>(T);
     for (size_t L = 0; L < AtLabel.size(); ++L)
-      renderThreadKey(Out, Table, Threads[AtLabel[L]], GIds);
+      renderThreadKey(W, Table, Threads[AtLabel[L]], GIds);
   }
-  key32(Out, static_cast<uint32_t>(GIds.size()));
+  W.u32(static_cast<uint32_t>(GIds.size()));
   for (size_t J = 0; J < Order.size(); ++J) {
     const GKeyView &V = Views[Order[J]];
-    key32(Out, V.OpKey);
-    Out += V.Kind;
-    key32(Out, V.OwnerLabel);
+    W.u32(V.OpKey);
+    W.byte(V.Kind);
+    W.u32(V.OwnerLabel);
   }
-  appendCommittedKey(Out);
+  W.u32(committedKeyId());
   if (GOrderOut)
     *GOrderOut = Order;
 }
 
-/// Append the committed-content section (see configKey).  It is
-/// relabeling-invariant and only ever extended by CMT, so it is rendered
-/// once per commit and shared across copies (under symmetry every
-/// permutation re-reads it, and the explorer calls configKey far more
-/// often than it commits).
-void PushPullMachine::appendCommittedKey(std::string &Out) const {
-  if (Committed.view().empty())
-    return;
-  if (!CommittedKeyCache) {
-    std::string C;
-    for (const CommittedTx &Ct : Committed) {
-      C += '\x03';
-      C += Ct.Body->printed();
-      C.push_back('\0');
-      keyStack(C, Ct.Sigma);
-      keyStack(C, Ct.FinalSigma);
+/// The committed-content section (see configKey): a chain of interned
+/// records, one per committed transaction in commit order, each holding
+/// the id of the history before it, its body's code id and its start and
+/// final stacks.  0 is the empty history and a record's id is its TextId
+/// plus one, so equal ids mean equal histories record by record — the
+/// partition the full text rendering gave.  The chain is memoized per
+/// machine and only ever extended (a CMT appends a record; rolling one
+/// back restores the memo), so the key after a CMT interns one record.
+uint32_t PushPullMachine::committedKeyId() const {
+  StateTable &Table = Spec->table();
+  const std::vector<CommittedTx> &History = Committed.view();
+  uint32_t Id = 0;
+  size_t From = 0;
+  if (CommittedKey.Count <= History.size() &&
+      CommittedKey.Id.lookup(Table.id(), Id))
+    From = CommittedKey.Count;
+  if (From == History.size())
+    return Id;
+  thread_local std::string Record;
+  for (size_t I = From; I < History.size(); ++I) {
+    const CommittedTx &Ct = History[I];
+    Record.clear();
+    {
+      KeyWriter W(Record, 9 + KeyWriter::stackBound(Ct.Sigma) +
+                              KeyWriter::stackBound(Ct.FinalSigma));
+      W.byte('\x03'); // Never starts a code node's printed text.
+      W.u32(Id);
+      W.u32(Table.codeKey(*Ct.Body));
+      W.stack(Ct.Sigma);
+      W.stack(Ct.FinalSigma);
     }
-    CommittedKeyCache = std::make_shared<const std::string>(std::move(C));
+    Id = Table.textKey(Record) + 1;
   }
-  Out += *CommittedKeyCache;
+  CommittedKey.Id.store(Table.id(), Id);
+  CommittedKey.Count = static_cast<uint32_t>(History.size());
+  return Id;
 }
 
 void PushPullMachine::configKeyCanonicalInto(
@@ -928,7 +997,8 @@ void PushPullMachine::configKeyCanonicalInto(
   // across the symmetry group.  Render every invariant piece once (the
   // thread sections back to back in one buffer), then assemble one
   // candidate per permutation — the assembly is pure memcpy against a
-  // full re-render per permutation.
+  // full re-render per permutation.  The committed section is common to
+  // every candidate, so it is appended to the winner only.
   thread_local std::string Sections;
   StateTable &Table = Spec->table();
   SmallVec<OpId, 16> GIds;
@@ -940,7 +1010,10 @@ void PushPullMachine::configKeyCanonicalInto(
   SmallVec<uint32_t, 8> SectionEnd;
   Sections.clear();
   for (const ThreadState &Th : Threads) {
-    renderThreadKey(Sections, Table, Th, GIds);
+    {
+      KeyWriter W(Sections, threadKeyBound(Th));
+      renderThreadKey(W, Table, Th, GIds);
+    }
     SectionEnd.push_back(static_cast<uint32_t>(Sections.size()));
   }
   auto SectionOf = [&](size_t T) {
@@ -956,22 +1029,27 @@ void PushPullMachine::configKeyCanonicalInto(
       AtLabel[LabelOf[T]] = static_cast<uint32_t>(T);
     std::string &Dst = Pi == 0 ? Out : Cur;
     Dst.clear();
-    Dst.reserve(Sections.size() + 4 + 9 * GIds.size());
-    for (size_t L = 0; L < AtLabel.size(); ++L)
-      Dst += SectionOf(AtLabel[L]);
-    key32(Dst, static_cast<uint32_t>(GIds.size()));
-    size_t I = 0;
-    for (const GlobalEntry &E : G.entries()) {
-      key32(Dst, GOpKeys[I++]);
-      Dst += E.Kind == GlobalKind::Committed ? 'C' : 'U';
-      key32(Dst, LabelOf[E.Owner]);
+    {
+      KeyWriter W(Dst, Sections.size() + 4 + 9 * GIds.size());
+      for (size_t L = 0; L < AtLabel.size(); ++L) {
+        std::string_view Sec = SectionOf(AtLabel[L]);
+        W.bytes(Sec.data(), Sec.size());
+      }
+      W.u32(static_cast<uint32_t>(GIds.size()));
+      size_t I = 0;
+      for (const GlobalEntry &E : G.entries()) {
+        W.u32(GOpKeys[I++]);
+        W.byte(E.Kind == GlobalKind::Committed ? 'C' : 'U');
+        W.u32(LabelOf[E.Owner]);
+      }
     }
     if (Pi != 0 && Cur < Out) {
       std::swap(Out, Cur);
       BestPerm = Pi;
     }
   }
-  appendCommittedKey(Out);
+  KeyWriter W(Out, 4);
+  W.u32(committedKeyId());
 }
 
 void PushPullMachine::installForAnalysis(ThreadList NewThreads,
@@ -979,11 +1057,14 @@ void PushPullMachine::installForAnalysis(ThreadList NewThreads,
   assert(!Undo.Open && "installing a configuration under an open mark");
   Threads = std::move(NewThreads);
   G = std::move(NewG);
+  for (ThreadState &Th : Threads)
+    refoldPrefixes(*Spec, Th.L, 0);
+  refoldPrefixes(*Spec, G, 0);
   Ids.reservePast(MaxUsedId);
   Trace = RuleTrace();
   Audit.clear();
   Committed = CowVec<CommittedTx>();
-  CommittedKeyCache.reset();
+  CommittedKey = CommittedKeyMemo();
   CommitSeq = 0;
 }
 
@@ -995,10 +1076,10 @@ RuleFootprint pushpull::ruleFootprint(RuleKind K) {
   //   UNAPP   structural flags on own L only.  Mutation: own c, sigma, L.
   //   PUSH    (i) movers against own L; (ii) right-movers against the
   //           *uncommitted G entries of other owners*; (iii) allowed under
-  //           the global view (globalViewId).  (ii) and (iii) read G.
+  //           the global view (G's stored prefix).  (ii) and (iii) read G.
   //           Mutation: appends to G.
   //   UNPUSH  (i, gray) movers against *later G entries*; (ii) G minus the
-  //           entry still allowed (globalViewId with OmitIdx).  Reads and
+  //           entry still allowed (G re-folded without it).  Reads and
   //           mutates (removes from) G.
   //   PULL    (i) entry not already in own L; (ii) own local view allows
   //           the pulled op; (iii, gray) right-movers against own L.  The

@@ -306,6 +306,11 @@ public:
   /// merge in the explorer's visited map and the surviving verdict would
   /// depend on traversal order.  Used by the explorer's visited set.
   ///
+  /// Operations, remaining code and committed records are rendered as ids
+  /// the spec's StateTable interns by content, so two keys compare equal
+  /// exactly when the configurations render to the same text — but key
+  /// bytes are only comparable between machines over one spec.
+  ///
   /// \p LabelOf, if given, renames thread ids for the symmetry reduction:
   /// thread \c T is rendered in slot \c (*LabelOf)[T] and global-log
   /// owners are rewritten through the same map.  Sound only for
@@ -370,16 +375,10 @@ public:
 private:
   ThreadState &threadMut(TxId T);
 
-  /// Interned denotation of \p Th's local log, folding applyOpId over the
-  /// entries directly — no Operation vector is materialized.  This is the
-  /// machine's hottest spec query (APP choice enumeration, APP/PULL
-  /// criteria, local views).
+  /// Interned denotation of \p Th's local log: its last entry's stored
+  /// prefix (core/Log.h).  This is the machine's hottest spec query (APP
+  /// choice enumeration, APP/PULL criteria, local views).
   StateSetId localViewId(const ThreadState &Th) const;
-
-  /// Interned denotation of G extended with \p Extra (PUSH criterion
-  /// (iii)), again without materializing an Operation vector.
-  StateSetId globalViewId(const Operation *Extra,
-                          size_t OmitIdx = static_cast<size_t>(-1)) const;
 
   /// Evaluate a Tri criterion under the current validation level (at
   /// Trusting level the thunk is skipped entirely) and append its report
@@ -401,12 +400,19 @@ private:
   /// violation.
   void checkInvariantsAfterStep(const char *Rule);
 
-  /// Append the memoized committed-content key section (see configKey).
-  void appendCommittedKey(std::string &Out) const;
+  /// The committed-content key section (see configKey), memoized in
+  /// CommittedKey.
+  uint32_t committedKeyId() const;
 
   void recordEvent(TxId T, RuleKind K, const Operation *Op,
                    bool PulledUncommitted = false);
   void recordAudit(TxId T, const Operation *Op, const RuleResult &R);
+
+  /// See CommittedKey.
+  struct CommittedKeyMemo {
+    InternCache Id;
+    uint32_t Count = 0;
+  };
 
   /// What one undo record inverts.
   enum class UndoKind : uint8_t {
@@ -427,7 +433,7 @@ private:
     CodePtr OrigCode;   ///< BEGIN.
     Stack Sigma;        ///< BEGIN: OrigSigma; UNAPP: Sigma.
     LocalLog L;         ///< CMT.
-    std::shared_ptr<const std::string> KeyCache; ///< CMT.
+    CommittedKeyMemo CommittedKey; ///< CMT.
     SmallVec<uint32_t, 4> Flipped; ///< CMT: G entries it marked gCmt.
   };
   /// The undo trail.  Copying a machine starts the copy's trail empty: a
@@ -463,10 +469,10 @@ private:
   /// it rarely.
   CowVec<CommittedTx> Committed;
   /// Memoized configKey committed section (relabeling-invariant, extended
-  /// only by CMT).  Copies share it; commit() invalidates it, moving it
-  /// onto the undo trail under a mark.  Each machine owns its shared_ptr
-  /// object, so resetting one copy's cache never races with another's.
-  mutable std::shared_ptr<const std::string> CommittedKeyCache;
+  /// only by CMT): the chain id of the history's first Count records,
+  /// tagged with the spec's table.  Copies copy it; rolling a CMT back
+  /// restores the memo it saved.
+  mutable CommittedKeyMemo CommittedKey;
   uint64_t CommitSeq = 0;
   UndoTrail Undo;
   /// Counts whole-machine copies into memstats::MachineCopies.

@@ -58,22 +58,67 @@ pushpull::witnessPrefix(const ReachableFamily &F, size_t Index,
   return Prefix;
 }
 
+namespace {
+size_t memoHome(uint64_t Pair, size_t Mask) {
+  return static_cast<size_t>((Pair * 0x9e3779b97f4a7c15ull) >> 32) & Mask;
+}
+} // namespace
+
+MoverChecker::MemoSlot &MoverChecker::memoSlot(OpKeyId KA, OpKeyId KB) {
+  const uint64_t Pair = (static_cast<uint64_t>(KA) << 32) | KB;
+  if (!Memo.empty()) {
+    const size_t Mask = Memo.size() - 1;
+    for (size_t I = memoHome(Pair, Mask);; I = (I + 1) & Mask) {
+      if (Memo[I].Pair == Pair)
+        return Memo[I];
+      if (Memo[I].Pair == EmptyPair)
+        break;
+    }
+  }
+  if ((MemoUsed + 1) * 4 > Memo.size() * 3) {
+    std::vector<MemoSlot> Old = std::move(Memo);
+    Memo.assign(Old.empty() ? 64 : Old.size() * 2, MemoSlot());
+    const size_t Mask = Memo.size() - 1;
+    for (const MemoSlot &S : Old) {
+      if (S.Pair == EmptyPair)
+        continue;
+      size_t I = memoHome(S.Pair, Mask);
+      while (Memo[I].Pair != EmptyPair)
+        I = (I + 1) & Mask;
+      Memo[I] = S;
+    }
+  }
+  const size_t Mask = Memo.size() - 1;
+  size_t I = memoHome(Pair, Mask);
+  while (Memo[I].Pair != EmptyPair)
+    I = (I + 1) & Mask;
+  Memo[I].Pair = Pair;
+  ++MemoUsed;
+  return Memo[I];
+}
+
 Tri MoverChecker::leftMover(const Operation &A, const Operation &B) {
-  Tri Hint = Spec.leftMoverHint(A, B);
-  if (Hint != Tri::Unknown)
-    return Hint;
-  return leftMoverSemantic(A, B);
+  OpKeyId KA = Spec.table().opKey(A), KB = Spec.table().opKey(B);
+  if (uint8_t Final = memoSlot(KA, KB).Final)
+    return static_cast<Tri>(Final - 1);
+  Tri V = Spec.leftMoverHint(A, B);
+  if (V == Tri::Unknown)
+    V = semantic(A, B, KA, KB);
+  // Looked up again rather than held across the hint and the semantic
+  // check: an insertion may move the slots.
+  memoSlot(KA, KB).Final = static_cast<uint8_t>(static_cast<uint8_t>(V) + 1);
+  return V;
 }
 
 Tri MoverChecker::leftMoverSemantic(const Operation &A, const Operation &B) {
-  // One interning lookup per operand (the only string work on this path),
-  // then the memo key is a single integer.
-  OpKeyId KA = Spec.table().opKey(A), KB = Spec.table().opKey(B);
-  uint64_t Key = (static_cast<uint64_t>(KA) << 32) | KB;
-  auto It = Memo.find(Key);
-  if (It != Memo.end()) {
+  return semantic(A, B, Spec.table().opKey(A), Spec.table().opKey(B));
+}
+
+Tri MoverChecker::semantic(const Operation &A, const Operation &B, OpKeyId KA,
+                           OpKeyId KB) {
+  if (uint8_t Known = memoSlot(KA, KB).Semantic) {
     ++MemoHits;
-    return It->second;
+    return static_cast<Tri>(Known - 1);
   }
   ++MemoMisses;
 
@@ -97,6 +142,7 @@ Tri MoverChecker::leftMoverSemantic(const Operation &A, const Operation &B) {
   if (Out == Tri::Yes && !F.Exact)
     Out = Tri::Unknown;
 
-  Memo.emplace(Key, Out);
+  memoSlot(KA, KB).Semantic =
+      static_cast<uint8_t>(static_cast<uint8_t>(Out) + 1);
   return Out;
 }

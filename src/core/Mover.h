@@ -36,6 +36,12 @@
 /// leftMoverHint short-circuits the semantic check when it has an opinion
 /// (boosting's "different keys commute").
 ///
+/// Both verdicts are functions of the operations' interned (Call, Result)
+/// keys, so one memo per checker holds them per ordered (OpKeyId, OpKeyId)
+/// pair — a per-operation-pair conflict table filled on demand: the rule
+/// guards' millionth "can x move right of op" is one probe of a flat
+/// table, never another hint simulation.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PUSHPULL_CORE_MOVER_H
@@ -47,7 +53,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace pushpull {
@@ -88,7 +93,8 @@ public:
 
   /// Definition 4.1: may a real log ...A.B... be reordered (on the atomic
   /// side) to ...B.A...?  Consults the spec's hint first, then decides
-  /// semantically over all reachable denotations.
+  /// semantically over all reachable denotations; the verdict is memoized
+  /// per ordered pair of operation keys.
   Tri leftMover(const Operation &A, const Operation &B);
 
   /// Force the semantic check (ignore hints) — used by tests that
@@ -102,7 +108,9 @@ public:
   /// for the checker's lifetime.
   const ReachableFamily &family();
 
-  /// Decisions served from the memo table vs computed.
+  /// Semantic decisions (leftMoverSemantic, or leftMover after the hint
+  /// had no opinion) served from the memo vs computed.  Verdicts leftMover
+  /// serves from the memo count in neither.
   uint64_t memoHits() const { return MemoHits; }
   uint64_t memoMisses() const { return MemoMisses; }
 
@@ -125,10 +133,31 @@ private:
   bool FamilyComputed = false;
   ReachableFamily Fam;
 
-  /// (OpKeyId of A << 32 | OpKeyId of B) -> verdict.  Moverness depends
-  /// on the call and its result, never on the id or the thread stacks, so
-  /// the interned denotation keys are exactly the right memo key.
-  std::unordered_map<uint64_t, Tri> Memo;
+  Tri semantic(const Operation &A, const Operation &B, OpKeyId KA,
+               OpKeyId KB);
+
+  /// One ordered pair's verdicts, each stored as 1 + Tri, 0 while unknown:
+  /// leftMover's final one (hint, else semantic) and leftMoverSemantic's.
+  struct MemoSlot {
+    uint64_t Pair = EmptyPair;
+    uint8_t Final = 0;
+    uint8_t Semantic = 0;
+  };
+  /// No pair of interned keys packs to this.
+  static constexpr uint64_t EmptyPair = ~uint64_t(0);
+
+  /// The slot of (\p KA, \p KB), inserted empty if absent.  The reference
+  /// is valid until the next insertion of a new pair.
+  MemoSlot &memoSlot(OpKeyId KA, OpKeyId KB);
+
+  /// The memo: (OpKeyId of A << 32 | OpKeyId of B), open addressing over a
+  /// power-of-two slot array probed linearly and grown at 3/4 load.  Empty
+  /// until the first query, so a checker built per fuzz case allocates
+  /// nothing it does not use.  Moverness depends on the call and its
+  /// result, never on the id or the thread stacks, so the interned
+  /// denotation keys are exactly the right memo key.
+  std::vector<MemoSlot> Memo;
+  size_t MemoUsed = 0;
   uint64_t MemoHits = 0, MemoMisses = 0;
 };
 

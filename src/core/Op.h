@@ -98,32 +98,36 @@ struct ResolvedCall {
   std::string toString() const;
 };
 
-/// Memo slot for an operation's interned denotation key (see
-/// StateTable::opKey).  The key depends only on (Call, Result), both fixed
-/// at creation, so it can be computed once and carried with the record —
+/// Memo slot for an id some StateTable interned for an immutable object:
+/// an operation's denotation key (StateTable::opKey) or a code node's text
+/// key (StateTable::codeKey).  The id depends only on fields fixed at
+/// creation, so it can be computed once and carried with the object —
 /// including through copies, which machines make constantly.  The slot is
-/// tagged with the owning table's unique id so a record that flows between
-/// specs can never alias another table's key space.  Tag and key are packed
-/// into one atomic word, making concurrent fills from the parallel
-/// explorer's workers safe (both write the identical value).
+/// tagged with the owning table's unique id (StateTable::id) so an object
+/// that flows between specs can never alias another table's key space.
+/// Tag and id are packed into one atomic word, making concurrent fills
+/// from the parallel explorer's workers safe (both write the identical
+/// value).
 ///
-/// Contract: the cache follows (Call, Result) through copies, so code that
-/// *mutates* either field on a record that may already have been interned
-/// must call reset() afterwards.  Engine code never does this — it always
-/// fills freshly constructed records — but spec/test helpers that recycle
-/// an Operation variable must.
-class OpKeyCache {
+/// Contract: the cache follows (Call, Result) through Operation copies, so
+/// code that *mutates* either field on a record that may already have been
+/// interned must call reset() afterwards.  Engine code never does this — it
+/// always fills freshly constructed records — but spec/test helpers that
+/// recycle an Operation variable must.
+class InternCache {
 public:
-  OpKeyCache() = default;
-  OpKeyCache(const OpKeyCache &O)
+  InternCache() = default;
+  // noexcept, so the implicit moves of the records holding a slot stay
+  // noexcept and vectors of them move rather than copy when they grow.
+  InternCache(const InternCache &O) noexcept
       : Packed(O.Packed.load(std::memory_order_relaxed)) {}
-  OpKeyCache &operator=(const OpKeyCache &O) {
+  InternCache &operator=(const InternCache &O) noexcept {
     Packed.store(O.Packed.load(std::memory_order_relaxed),
                  std::memory_order_relaxed);
     return *this;
   }
 
-  /// \returns true and sets \p Out if a key cached by table \p TableId is
+  /// \returns true and sets \p Out if an id cached by table \p TableId is
   /// present.  Table ids are nonzero, so the empty slot never matches.
   bool lookup(uint32_t TableId, uint32_t &Out) const {
     uint64_t P = Packed.load(std::memory_order_relaxed);
@@ -165,7 +169,7 @@ struct Operation {
   OpId Id = 0;
   /// Cached interned denotation key; purely a memo, not part of the record
   /// (Call and Result, which determine it, never change after creation).
-  OpKeyCache KeyCache;
+  InternCache KeyCache;
 
   /// Identity in the model is id equality (Section 4: "Notations are all
   /// lifted to lists where equality is given by ids").

@@ -2,6 +2,7 @@
 
 #include "core/Spec.h"
 
+#include "lang/Ast.h"
 #include "support/Str.h"
 
 #include <algorithm>
@@ -205,6 +206,29 @@ OpKeyId StateTable::opKey(const Operation &Op) {
   (void)Fresh;
   Op.KeyCache.store(TableId, It->second);
   return It->second;
+}
+
+TextId StateTable::textKey(std::string_view Text) {
+  {
+    std::shared_lock<std::shared_mutex> Lock(Mutex);
+    auto It = Texts.find(Text);
+    if (It != Texts.end())
+      return It->second;
+  }
+  std::unique_lock<std::shared_mutex> Lock(Mutex);
+  auto [It, Fresh] = Texts.try_emplace(std::string(Text),
+                                       static_cast<TextId>(Texts.size()));
+  (void)Fresh;
+  return It->second;
+}
+
+TextId StateTable::codeKey(const Code &C) {
+  TextId Id;
+  if (C.keyCache().lookup(TableId, Id))
+    return Id;
+  Id = textKey(C.printed());
+  C.keyCache().store(TableId, Id);
+  return Id;
 }
 
 bool StateTable::lookupTransition(StateSetId S, OpKeyId Op, StateSetId &Out) {

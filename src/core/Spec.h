@@ -56,10 +56,12 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -116,6 +118,13 @@ using StateSetId = uint32_t;
 /// (Call, Result) share one OpKeyId.
 using OpKeyId = uint32_t;
 
+/// Dense identifier of an interned byte string: a code node's printed text
+/// or one committed-history record (see PushPullMachine::configKey).  Two
+/// TextIds from the same StateTable are equal iff the texts are.
+using TextId = uint32_t;
+
+class Code;
+
 /// Counters describing how effective the interning/memoization layer is.
 struct InternStats {
   uint64_t StatesInterned = 0;
@@ -133,8 +142,8 @@ struct InternStats {
 };
 
 /// Hash-consing table for one specification: canonical states, canonical
-/// state sets, operation keys, and the transition memo
-/// (StateSetId, OpKeyId) -> StateSetId.
+/// state sets, operation keys, configuration-key texts, and the transition
+/// memo (StateSetId, OpKeyId) -> StateSetId.
 ///
 /// Internally synchronized (shared_mutex for the maps, atomics for the
 /// counters) so that concurrent threads can share one spec.  Interned
@@ -178,6 +187,18 @@ public:
   /// Intern the (Call, Result) denotation key of \p Op.
   OpKeyId opKey(const Operation &Op);
 
+  /// Intern an arbitrary byte string.  Texts are interned by content,
+  /// never by the identity of whatever rendered them.
+  TextId textKey(std::string_view Text);
+
+  /// textKey of \p C's printed form, memoized on the node: two separately
+  /// parsed copies of one program share their ids.
+  TextId codeKey(const Code &C);
+
+  /// This table's nonzero tag for per-object InternCache slots.  Drawn
+  /// from a process-wide counter, so it is never reused.
+  uint32_t id() const { return TableId; }
+
   /// Transition memo: was [[S ; op]] computed before?
   bool lookupTransition(StateSetId S, OpKeyId Op, StateSetId &Out);
   void recordTransition(StateSetId S, OpKeyId Op, StateSetId Result);
@@ -203,7 +224,7 @@ private:
   struct ReadCache;
   static ReadCache &readCache();
 
-  /// Nonzero id distinguishing this table in per-Operation key caches and
+  /// Nonzero id distinguishing this table in InternCache slots and
   /// per-thread read caches.  Drawn from a process-wide counter, so it is
   /// never reused (wrapping would take 2^32 tables).
   const uint32_t TableId;
@@ -226,6 +247,14 @@ private:
   /// Indexed by StateSetId; unique_ptr gives entries stable addresses.
   std::vector<std::unique_ptr<SetEntry>> Sets;
   std::unordered_map<std::string, OpKeyId> OpKeys;
+  /// Heterogeneous lookup, so a hit on a rendered view copies nothing.
+  struct TextHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view S) const {
+      return std::hash<std::string_view>{}(S);
+    }
+  };
+  std::unordered_map<std::string, TextId, TextHash, std::equal_to<>> Texts;
   /// (StateSetId << 32 | OpKeyId) -> result StateSetId.
   std::unordered_map<uint64_t, StateSetId> Transitions;
 

@@ -90,9 +90,13 @@ public:
   bool equals(const Code &O) const;
 
   /// This node rendered as by printCode, computed once and cached on the
-  /// node (nodes are immutable and shared, and the explorer's
-  /// configuration keys render remaining code on the innermost loop).
+  /// node (nodes are immutable and shared; configuration keys intern it
+  /// once per table through keyCache()).
   const std::string &printed() const;
+
+  /// Memo slot for the id a StateTable interned printed() under
+  /// (StateTable::codeKey); never part of node identity.
+  const InternCache &keyCache() const { return KeyCache; }
 
   // Factories.
   static CodePtr makeSkip();
@@ -114,6 +118,7 @@ private:
   /// Lazily filled by printed(); never part of node identity.
   mutable std::once_flag PrintedOnce;
   mutable std::string Printed;
+  InternCache KeyCache;
   /// step(c) computed once per node (lang/StepFin.cpp): nodes are
   /// immutable, and the machine recomputes step(remaining code) on every
   /// APP attempt and every candidate enumeration.  Memoizing also makes

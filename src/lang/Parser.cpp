@@ -4,8 +4,9 @@
 
 #include "support/Str.h"
 
-#include <cassert>
 #include <cctype>
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <string_view>
 
@@ -246,6 +247,14 @@ ParseResult pushpull::parseCode(const std::string &Text) {
 
 CodePtr pushpull::parseOrDie(const std::string &Text) {
   ParseResult R = parseCode(Text);
-  assert(R.ok() && "parseOrDie on invalid program text");
+  if (!R.ok()) {
+    // A hard failure in every build, like the machine's Full-level
+    // invariant checks: under NDEBUG an assert would hand the caller a
+    // null program to crash on somewhere else.
+    std::fprintf(stderr,
+                 "pushpull: parseOrDie: %s at offset %zu of \"%s\"\n",
+                 R.Error.c_str(), R.ErrorPos, Text.c_str());
+    std::abort();
+  }
   return R.Parsed;
 }

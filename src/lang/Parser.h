@@ -46,8 +46,8 @@ struct ParseResult {
 /// the result.
 ParseResult parseCode(const std::string &Text);
 
-/// Parse, asserting success.  For use in tests and examples on known-good
-/// literals.
+/// Parse, or print the parse error and its offset to stderr and abort (in
+/// every build).  For use in tests and examples on known-good literals.
 CodePtr parseOrDie(const std::string &Text);
 
 } // namespace pushpull

@@ -40,8 +40,9 @@ public:
   /// Bernoulli trial with probability \p Num / \p Den.
   bool chance(uint64_t Num, uint64_t Den);
 
-  /// Uniformly pick an element of a non-empty vector.
-  template <typename T> const T &pick(const std::vector<T> &Xs) {
+  /// Uniformly pick an element of a non-empty vector (std::vector or
+  /// SmallVec).
+  template <typename Vec> const typename Vec::value_type &pick(const Vec &Xs) {
     assert(!Xs.empty() && "pick() from empty vector");
     return Xs[below(Xs.size())];
   }

@@ -214,6 +214,18 @@ TEST(Parser, Errors) {
   }
 }
 
+TEST(ParserDeathTest, ParseOrDieAbortsOnInvalidTextInEveryBuild) {
+  // Two transactions with no ';' between them: an assert-only check would
+  // return a null program under NDEBUG, and flattenTransactions would
+  // crash on it.
+  ParseResult R = parseCode("tx { c.inc(0) } tx { c.inc(0) }");
+  ASSERT_FALSE(R.ok());
+  EXPECT_DEATH(parseOrDie("tx { c.inc(0) } tx { c.inc(0) }"),
+               "parseOrDie: .* at offset " + std::to_string(R.ErrorPos));
+  EXPECT_DEATH(parseOrDie("tx {"), "parseOrDie: .*\"tx \\{\"");
+  EXPECT_TRUE(parseOrDie("tx { c.inc(0) }; tx { c.inc(0) }"));
+}
+
 TEST(Printer, RoundTripsThroughParser) {
   const char *Programs[] = {
       "skip",

@@ -630,3 +630,116 @@ TEST(Machine, CopiesAreIndependent) {
   EXPECT_TRUE(Rig.M.thread(T).L.empty());
   EXPECT_EQ(Rig.M.trace().size(), 0u);
 }
+
+// --- configKey ---------------------------------------------------------------
+//
+// The key names remaining code and committed history by ids the spec's
+// table interns by text, so it must partition configurations exactly as
+// the text did: equal for separately parsed copies of one program,
+// different whenever the code or the history text differs.
+
+namespace {
+
+/// Parse every transaction afresh, so no two machines share a code node.
+PushPullMachine counterMachine(const CounterSpec &Spec, MoverChecker &Movers,
+                               const std::vector<std::vector<std::string>> &P) {
+  PushPullMachine M(Spec, Movers);
+  for (const std::vector<std::string> &Thread : P) {
+    std::vector<CodePtr> Txs;
+    for (const std::string &Tx : Thread)
+      Txs.push_back(parseOrDie(Tx));
+    M.addThread(Txs);
+  }
+  return M;
+}
+
+/// BEGIN, then APP/PUSH each of the thread's \p Ops calls and CMT.
+void runTx(PushPullMachine &M, TxId T, size_t Ops) {
+  ASSERT_TRUE(M.beginTx(T));
+  for (size_t I = 0; I < Ops; ++I) {
+    ASSERT_TRUE(M.app(T, 0, 0).Applied);
+    ASSERT_TRUE(M.push(T, M.thread(T).L.size() - 1).Applied);
+  }
+  ASSERT_TRUE(M.commit(T).Applied);
+}
+
+} // namespace
+
+TEST(ConfigKey, SeparatelyParsedCopiesKeyEqually) {
+  CounterSpec Spec("c", 1, 3);
+  MoverChecker Movers(Spec);
+  const std::vector<std::vector<std::string>> Programs = {
+      {"tx { c.inc(0); v := c.read(0) }"},
+      {"tx { c.inc(0) }", "tx { c.inc(0) }"}};
+  PushPullMachine A = counterMachine(Spec, Movers, Programs);
+  PushPullMachine B = counterMachine(Spec, Movers, Programs);
+  // Keyed after every step, the committed section included.
+  std::vector<std::string> KeysA, KeysB;
+  for (PushPullMachine *M : {&A, &B}) {
+    std::vector<std::string> &Keys = M == &A ? KeysA : KeysB;
+    Keys.push_back(M->configKey());
+    ASSERT_TRUE(M->beginTx(0));
+    Keys.push_back(M->configKey());
+    ASSERT_TRUE(M->app(0, 0, 0).Applied);
+    Keys.push_back(M->configKey());
+    runTx(*M, 1, 1);
+    Keys.push_back(M->configKey());
+    runTx(*M, 1, 1);
+    Keys.push_back(M->configKey());
+  }
+  ASSERT_NE(A.committed()[0].Body.get(), B.committed()[0].Body.get());
+  EXPECT_EQ(KeysA, KeysB);
+  // The symmetry minimization renders the same sections.
+  std::string CanonA, CanonB;
+  size_t PiA = 0, PiB = 0;
+  A.configKeyCanonicalInto(CanonA, {{0, 1}, {1, 0}}, PiA);
+  B.configKeyCanonicalInto(CanonB, {{0, 1}, {1, 0}}, PiB);
+  EXPECT_EQ(CanonA, CanonB);
+  EXPECT_EQ(PiA, PiB);
+}
+
+TEST(ConfigKey, RemainingCodeAloneDistinguishes) {
+  CounterSpec Spec("c", 1, 3);
+  MoverChecker Movers(Spec);
+  PushPullMachine A =
+      counterMachine(Spec, Movers, {{"tx { c.inc(0); c.inc(0) }"}});
+  PushPullMachine B =
+      counterMachine(Spec, Movers, {{"tx { c.inc(0); c.read(0) }"}});
+  for (PushPullMachine *M : {&A, &B}) {
+    ASSERT_TRUE(M->beginTx(0));
+    ASSERT_TRUE(M->app(0, 0, 0).Applied);
+  }
+  // Same local log, stack, shared log and history; only the remaining
+  // code differs.
+  EXPECT_EQ(A.thread(0).L.toString(), B.thread(0).L.toString());
+  EXPECT_NE(A.configKey(), B.configKey());
+}
+
+TEST(ConfigKey, CommittedContentAloneDistinguishes) {
+  CounterSpec Spec("c", 1, 3);
+  MoverChecker Movers(Spec);
+  PushPullMachine A = counterMachine(Spec, Movers, {{"tx { c.inc(0) }"}});
+  PushPullMachine B =
+      counterMachine(Spec, Movers, {{"tx { c.inc(0); skip }"}});
+  PushPullMachine C = counterMachine(Spec, Movers, {{"tx { c.inc(0) }"}});
+  for (PushPullMachine *M : {&A, &B, &C})
+    runTx(*M, 0, 1);
+  // Every thread is done and G holds one committed c.inc(0) in each; only
+  // the committed body's text differs between A and B.
+  EXPECT_EQ(A.toString(), B.toString());
+  EXPECT_NE(A.configKey(), B.configKey());
+  EXPECT_EQ(A.configKey(), C.configKey());
+
+  // Histories that differ only before their last record: each record's id
+  // must depend on the whole history before it.
+  PushPullMachine D = counterMachine(
+      Spec, Movers, {{"tx { c.inc(0) }", "tx { c.inc(0) }"}});
+  PushPullMachine E = counterMachine(
+      Spec, Movers, {{"tx { c.inc(0); skip }", "tx { c.inc(0) }"}});
+  for (PushPullMachine *M : {&D, &E}) {
+    runTx(*M, 0, 1);
+    runTx(*M, 0, 1);
+  }
+  EXPECT_EQ(D.toString(), E.toString());
+  EXPECT_NE(D.configKey(), E.configKey());
+}

@@ -2,17 +2,24 @@
 //
 // The left-mover relation over logs: the Section 5.1 mnemonic (order in
 // the expression = order in the real log), memoization, the paper's
-// Section 2 boosting example (hashtable puts on distinct keys), and the
-// reachable family's one bound rule with its Unknown behaviour.
+// Section 2 boosting example (hashtable puts on distinct keys), the
+// reachable family's one bound rule with its Unknown behaviour, and the
+// per-pair verdict memo agreeing with fresh checkers.
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/Mover.h"
 
 #include "TestUtil.h"
+#include "spec/BankSpec.h"
+#include "spec/CompositeSpec.h"
+#include "spec/CounterSpec.h"
 #include "spec/MapSpec.h"
 #include "spec/QueueSpec.h"
 #include "spec/RegisterSpec.h"
+#include "spec/SetSpec.h"
+
+#include <memory>
 
 #include <gtest/gtest.h>
 
@@ -142,4 +149,44 @@ TEST(Mover, RightMoverIsFlippedLeftMover) {
   // read=0 moves right of a later... i.e. real order read.write:
   EXPECT_EQ(Movers.leftMover(rd(0, 0), wr(0, 0)), Tri::Yes);
   EXPECT_EQ(Movers.leftMover(rd(0, 0), wr(0, 1)), Tri::No);
+}
+
+TEST(Mover, WarmMemoAgreesWithFreshCheckers) {
+  // leftMover memoizes its final verdict, hint or semantic, per ordered
+  // pair of operation keys.  Warm a checker on every ordered probe pair,
+  // then ask again: each answer must equal a fresh checker's first one
+  // and, for pairs the hint leaves open, the semantic check's.
+  auto Composite = std::make_shared<CompositeSpec>();
+  Composite->add("mem", std::make_shared<RegisterSpec>("mem", 1, 2));
+  Composite->add("c", std::make_shared<CounterSpec>("c", 1, 2));
+  std::vector<std::shared_ptr<const SequentialSpec>> Specs = {
+      std::make_shared<RegisterSpec>("mem", 2, 2),
+      std::make_shared<CounterSpec>("c", 1, 3),
+      std::make_shared<SetSpec>("set", 2),
+      std::make_shared<MapSpec>("map", 2, 2),
+      std::make_shared<QueueSpec>("q", 2, 2),
+      std::make_shared<BankSpec>("bank", 2, 2),
+      Composite};
+  for (const std::shared_ptr<const SequentialSpec> &S : Specs) {
+    const std::vector<Operation> &Probes = S->probes();
+    MoverChecker Warm(*S);
+    for (const Operation &A : Probes)
+      for (const Operation &B : Probes)
+        Warm.leftMover(A, B);
+    uint64_t SemanticCalls = Warm.memoHits() + Warm.memoMisses();
+    for (const Operation &A : Probes)
+      for (const Operation &B : Probes) {
+        MoverChecker Fresh(*S);
+        Tri Want = Fresh.leftMover(A, B);
+        std::string Tag = S->name() + ": " + A.toString() + " <| " +
+                          B.toString();
+        EXPECT_EQ(Warm.leftMover(A, B), Want) << Tag;
+        if (S->leftMoverHint(A, B) == Tri::Unknown) {
+          EXPECT_EQ(Want, MoverChecker(*S).leftMoverSemantic(A, B)) << Tag;
+        }
+      }
+    // The second pass is served from the verdict memo, which the semantic
+    // counters do not count.
+    EXPECT_EQ(Warm.memoHits() + Warm.memoMisses(), SemanticCalls) << S->name();
+  }
 }

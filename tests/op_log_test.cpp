@@ -107,7 +107,7 @@ TEST(LocalLog, Projections) {
   EXPECT_EQ(Own[0].Id, 1u);
   EXPECT_EQ(Own[1].Id, 2u);
   EXPECT_EQ(Own[2].Id, 4u);
-  EXPECT_EQ(L.indicesOf(LocalKind::Pulled), (std::vector<size_t>{2}));
+  EXPECT_EQ(L.indicesOf(LocalKind::Pulled), (LocalLog::IndexList{2}));
 }
 
 TEST(LocalLog, OpsOmitting) {

@@ -655,17 +655,19 @@ namespace {
 /// One DB-battery run: explorer report plus the terminal configurations,
 /// each rendered through the quotient key (so baseline terminals are
 /// comparable with DB-run terminals: the quotient maps both onto the
-/// same canonical space).
+/// same canonical space).  Keys name code, history and operations by ids
+/// interned in the spec's table, so runs whose terminals are compared
+/// share one \p Spec.
 struct DBRun {
   ExplorerReport R;
   std::vector<std::string> Terminals;
 };
 
-DBRun runScopeQuotient(const Scope &S, Reduction Mode, unsigned Threads,
-                       bool UseDB, const std::string &Inject = "") {
-  auto Spec = S.MakeSpec();
-  MoverChecker Movers(*Spec);
-  CommutativityDB DB(*Spec);
+DBRun runScopeQuotient(const SequentialSpec &Spec, const Scope &S,
+                       Reduction Mode, unsigned Threads, bool UseDB,
+                       const std::string &Inject = "") {
+  MoverChecker Movers(Spec);
+  CommutativityDB DB(Spec);
   ExplorerConfig EC;
   EC.Reduce = Mode;
   EC.Threads = Threads;
@@ -685,7 +687,7 @@ DBRun runScopeQuotient(const Scope &S, Reduction Mode, unsigned Threads,
   std::vector<std::vector<CodePtr>> Ps;
   for (const std::string &P : S.Programs)
     Ps.push_back({parseOrDie(P)});
-  Explorer E(*Spec, Movers, EC);
+  Explorer E(Spec, Movers, EC);
   Out.R = E.explore(Ps);
   std::sort(Out.Terminals.begin(), Out.Terminals.end());
   Out.Terminals.erase(
@@ -726,8 +728,11 @@ TEST(CommutativityReduction, DBPreservesVerdictsAndTerminalQuotient) {
   for (const Scope &S : commutScopes()) {
     for (Reduction Mode : AllModes) {
       for (unsigned Threads : {1u, 4u}) {
-        DBRun Base = runScopeQuotient(S, Mode, Threads, /*UseDB=*/false);
-        DBRun WithDB = runScopeQuotient(S, Mode, Threads, /*UseDB=*/true);
+        auto Spec = S.MakeSpec();
+        DBRun Base =
+            runScopeQuotient(*Spec, S, Mode, Threads, /*UseDB=*/false);
+        DBRun WithDB =
+            runScopeQuotient(*Spec, S, Mode, Threads, /*UseDB=*/true);
         std::string Tag = std::string(S.Name) + " / " + toString(Mode) +
                           " / threads=" + std::to_string(Threads);
         ASSERT_FALSE(Base.R.Truncated) << Tag;
@@ -762,8 +767,9 @@ TEST(CommutativityReduction, DBShrinksDistinctKeyMapScope) {
           /*Invariants=*/false,
           /*Symmetric=*/false};
   for (Reduction Mode : {Reduction::Sleep, Reduction::PersistentSymmetry}) {
-    DBRun Base = runScopeQuotient(S, Mode, 1, /*UseDB=*/false);
-    DBRun WithDB = runScopeQuotient(S, Mode, 1, /*UseDB=*/true);
+    auto Spec = S.MakeSpec();
+    DBRun Base = runScopeQuotient(*Spec, S, Mode, 1, /*UseDB=*/false);
+    DBRun WithDB = runScopeQuotient(*Spec, S, Mode, 1, /*UseDB=*/true);
     std::string Tag = toString(Mode);
     ASSERT_FALSE(Base.R.Truncated) << Tag;
     ASSERT_FALSE(WithDB.R.Truncated) << Tag;
@@ -786,9 +792,10 @@ TEST(CommutativityReduction, InjectedBugStillFoundWithDB) {
   // compared against the DB-enabled full enumeration — the same quotient
   // space — while the raw baseline only lower-bounds detection.
   Scope S = injectedBugScope();
-  DBRun Raw = runScopeQuotient(S, Reduction::None, 1, /*UseDB=*/false,
+  auto Spec = S.MakeSpec();
+  DBRun Raw = runScopeQuotient(*Spec, S, Reduction::None, 1, /*UseDB=*/false,
                                "PUSH criterion (ii)");
-  DBRun Base = runScopeQuotient(S, Reduction::None, 1, /*UseDB=*/true,
+  DBRun Base = runScopeQuotient(*Spec, S, Reduction::None, 1, /*UseDB=*/true,
                                 "PUSH criterion (ii)");
   ASSERT_FALSE(Raw.R.Truncated);
   ASSERT_FALSE(Base.R.Truncated);
@@ -800,7 +807,7 @@ TEST(CommutativityReduction, InjectedBugStillFoundWithDB) {
   EXPECT_EQ(Base.Terminals, Raw.Terminals);
   for (Reduction Mode : AllModes) {
     for (unsigned Threads : {1u, 4u}) {
-      DBRun R = runScopeQuotient(S, Mode, Threads, /*UseDB=*/true,
+      DBRun R = runScopeQuotient(*Spec, S, Mode, Threads, /*UseDB=*/true,
                                  "PUSH criterion (ii)");
       std::string Tag = std::string(toString(Mode)) +
                         " / threads=" + std::to_string(Threads);

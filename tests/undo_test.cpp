@@ -6,11 +6,14 @@
 // reads -- including the writes configKey does not see (BEGIN's OrigSigma,
 // CMT's wholesale L replacement, the id source APP draws from).  Driven
 // over random engine runs of every engine and spec kind, and over random
-// walks of backward-rule explorer scopes.
+// walks of backward-rule explorer scopes.  After every firing and every
+// rollback, and after installing analysis shapes, each log entry's stored
+// prefix denotation must equal a fresh fold of the log up to it.
 //
 //===----------------------------------------------------------------------===//
 
 #include "analysis/IndependenceAudit.h"
+#include "analysis/Shapes.h"
 #include "fuzz/Generator.h"
 #include "lang/Parser.h"
 #include "lang/Printer.h"
@@ -80,12 +83,35 @@ OpId nextAppId(const PushPullMachine &M) {
   return 0;
 }
 
+/// Every L and G entry's stored prefix denotation (core/Log.h) equals a
+/// fresh applyOpId fold of its log up to and including it.
+void expectPrefixesFolded(const PushPullMachine &M, const std::string &Tag) {
+  const SequentialSpec &Spec = M.spec();
+  for (const ThreadState &Th : M.threads()) {
+    StateSetId S = Spec.initialId();
+    size_t I = 0;
+    for (const LocalEntry &E : Th.L) {
+      S = Spec.applyOpId(S, E.Op);
+      EXPECT_EQ(E.Prefix, S) << Tag << ": t" << Th.Tid << " L[" << I << "]";
+      ++I;
+    }
+  }
+  StateSetId S = Spec.initialId();
+  size_t I = 0;
+  for (const GlobalEntry &E : M.global()) {
+    S = Spec.applyOpId(S, E.Op);
+    EXPECT_EQ(E.Prefix, S) << Tag << ": G[" << I << "]";
+    ++I;
+  }
+}
+
 void expectSameMachine(const PushPullMachine &Got,
                        const PushPullMachine &Want, const std::string &Tag) {
   EXPECT_TRUE(Got.configKey() == Want.configKey()) << Tag;
   EXPECT_EQ(Got.toString(), Want.toString()) << Tag;
   EXPECT_EQ(hiddenState(Got), hiddenState(Want)) << Tag;
   EXPECT_EQ(nextAppId(Got), nextAppId(Want)) << Tag;
+  expectPrefixesFolded(Got, Tag);
 }
 
 struct RoundTrips {
@@ -132,6 +158,7 @@ void checkRoundTrips(PushPullMachine &M, const std::string &Tag,
     std::string CTag = Tag + " " + C.F.toString();
     PushPullMachine::UndoMark Mark = M.mark();
     bool Applied = applyFiring(M, C.F);
+    expectPrefixesFolded(M, CTag + " fired");
     PushPullMachine::UndoMark After = M.mark();
     if (Applied) {
       EXPECT_EQ(After.Records, Mark.Records + 1) << CTag;
@@ -158,6 +185,7 @@ void checkRoundTrips(PushPullMachine &M, const std::string &Tag,
   // Fired[1] was enabled before Fired[0]; it may not be any longer.
   if (applyFiring(M, Fired[1]))
     ++Count.Nested;
+  expectPrefixesFolded(M, Tag + " nested " + Fired[1].toString());
   M.rollbackTo(Inner);
   expectSameMachine(M, AfterA, Tag + " inner " + Fired[1].toString());
   M.rollbackTo(Outer);
@@ -248,6 +276,40 @@ TEST(Undo, RoundTripsOverBackwardRuleScopes) {
     }
   }
   EXPECT_EQ(Count.RulesSeen, allRulesMask());
+}
+
+TEST(Undo, RoundTripsOverInstalledShapes) {
+  // installForAnalysis plants logs built outside the machine, so it folds
+  // every entry's prefix itself; every firing from an installed shape, the
+  // backward rules included, must then keep them folded.
+  std::vector<std::shared_ptr<SequentialSpec>> Specs = {
+      std::make_shared<RegisterSpec>("mem", 1, 2),
+      std::make_shared<CounterSpec>("c", 1, 3)};
+  RoundTrips Count;
+  for (const std::shared_ptr<SequentialSpec> &Spec : Specs) {
+    ShapeScope Scope;
+    Scope.IncludeIdle = true;
+    Scope.OtherCodeCalls = true;
+    std::vector<Operation> Alphabet = shapeAlphabet(*Spec, Scope.MaxAlphabet);
+    MoverChecker Movers(*Spec);
+    PushPullMachine M(*Spec, Movers);
+    uint64_t Shape = 0;
+    enumerateShapes(Scope, Alphabet.size(), [&](const AbstractShape &S) {
+      // Every shape is installed and checked, denotable or not; a sample
+      // of them is also fired from.
+      installShape(materializeShape(S, Alphabet), M);
+      std::string Tag = Spec->name() + " shape " + std::to_string(Shape);
+      expectPrefixesFolded(M, Tag + " installed");
+      if (Shape % 7 == 0 && shapeDenotable(S, Alphabet, *Spec))
+        checkRoundTrips(M, Tag, Count);
+      return ++Shape < 2000;
+    });
+  }
+  EXPECT_GT(Count.Applied, 100u);
+  EXPECT_EQ(Count.RulesSeen & ruleBit(RuleKind::UnPush),
+            ruleBit(RuleKind::UnPush));
+  EXPECT_EQ(Count.RulesSeen & ruleBit(RuleKind::UnPull),
+            ruleBit(RuleKind::UnPull));
 }
 
 TEST(Undo, CopiesStartWithAnEmptyTrail) {
