@@ -54,8 +54,7 @@
 namespace pushpull {
 
 /// Abstract strong-commutation oracle over interned operation keys.
-/// Implementations must be thread-safe (the parallel explorer's workers
-/// share one oracle) and *sound*: a true answer must hold for every
+/// Implementations must be *sound*: a true answer must hold for every
 /// reachable denotation.  Unknown keys must answer false.
 class CommutativityOracle {
 public:

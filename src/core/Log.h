@@ -30,10 +30,9 @@
 /// ("notations are lifted to lists where equality is given by ids").
 ///
 /// Both logs are backed by refcounted copy-on-write chunk chains
-/// (support/Cow.h): copying a log — which the parallel explorer does once
-/// per handed-off successor, inside a whole-machine copy — is one atomic
-/// increment, and appends go in place whenever the owning machine is the
-/// only one referencing the head chunk (the scheduler, the sequential
+/// (support/Cow.h): copying a log, inside a whole-machine copy, is one
+/// atomic increment, and appends go in place whenever the owning machine
+/// is the only one referencing the head chunk (the scheduler, the
 /// explorer and every dry run, which fire in place and roll back).
 /// entries() returns the log itself, which iterates like the vector it
 /// used to be, so combinators and call sites read naturally.

@@ -160,9 +160,10 @@ struct AppChoice {
   std::vector<Completion> Completions;
 };
 
-/// The PUSH/PULL machine.  Copyable (the parallel explorer hands copies
-/// to its work queue): copies share the spec and the mover checker's memo
-/// tables, which are pure caches, and start with an empty undo trail.
+/// The PUSH/PULL machine.  Copyable: a copy shares the spec, the mover
+/// checker's memo tables (pure caches) and every log chunk, and starts
+/// with an empty undo trail.  Searches fire rules in place under an undo
+/// mark instead of copying.
 class PushPullMachine {
 public:
   PushPullMachine(const SequentialSpec &Spec, MoverChecker &Movers,
@@ -244,9 +245,8 @@ public:
   // -- Observation ----------------------------------------------------------
 
   const GlobalLog &global() const { return G; }
-  /// Thread container: inline up to four threads so that copying a machine
-  /// (the parallel explorer does this once per handed-off successor)
-  /// performs no heap allocation for the thread array itself.
+  /// Thread container: inline up to four threads, so a machine of up to
+  /// four threads keeps its thread array out of the heap.
   using ThreadList = SmallVec<ThreadState, 4>;
 
   const ThreadList &threads() const { return Threads; }
@@ -275,12 +275,6 @@ public:
   /// experiments that build a configuration under one regime and then
   /// probe rules under another.
   void setConfig(MachineConfig C) { Config = C; }
-
-  /// Re-point this machine at another mover checker.  The parallel
-  /// explorer gives each worker its own checker (caches are per-worker;
-  /// verdicts are cache-independent) and re-points popped work items at
-  /// the worker that will drive them.
-  void setMovers(MoverChecker &M) { Movers = &M; }
 
   /// Overwrite this machine's configuration wholesale with an externally
   /// constructed (T, G) pair.  This is the static-analysis install hook:
@@ -464,9 +458,8 @@ private:
   OpIdSource Ids;
   RuleTrace Trace;
   std::vector<AuditEntry> Audit;
-  /// Copy-on-write: the parallel explorer's hand-off copies share the
-  /// history; the oracle and configKey read it constantly, commits extend
-  /// it rarely.
+  /// Copy-on-write, so a machine copy shares the history; the oracle and
+  /// configKey read it constantly, commits extend it rarely.
   CowVec<CommittedTx> Committed;
   /// Memoized configKey committed section (relabeling-invariant, extended
   /// only by CMT): the chain id of the history's first Count records,

@@ -106,8 +106,7 @@ struct ResolvedCall {
 /// tagged with the owning table's unique id (StateTable::id) so an object
 /// that flows between specs can never alias another table's key space.
 /// Tag and id are packed into one atomic word, making concurrent fills
-/// from the parallel explorer's workers safe (both write the identical
-/// value).
+/// safe (both write the identical value).
 ///
 /// Contract: the cache follows (Call, Result) through Operation copies, so
 /// code that *mutates* either field on a record that may already have been

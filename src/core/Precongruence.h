@@ -86,8 +86,6 @@ public:
   size_t knownGoodCount() const { return KnownGood.size(); }
   size_t knownBadCount() const { return KnownBad.size(); }
 
-  const PrecongruenceLimits &limits() const { return Limits; }
-
 private:
   const SequentialSpec &Spec;
   PrecongruenceLimits Limits;

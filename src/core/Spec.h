@@ -40,9 +40,9 @@
 /// strings on every frontier insertion.  The table also memoizes the
 /// denotation step itself — (StateSetId, op key) -> StateSetId — so the
 /// same [[S ; op]] image is computed once and shared by every engine that
-/// consults the spec.  The table is internally synchronized: the parallel
-/// explorer's workers and the stress runtime's workers and checkers share
-/// one spec (and thus one transition memo) across threads.  Its read path
+/// consults the spec.  The table is internally synchronized: the stress
+/// runtime's workers and checkers share one spec (and thus one transition
+/// memo) across threads.  Its read path
 /// — transition lookups and set-entry reads — is served from a small
 /// per-thread cache, so threads that share a table do not contend on it.
 ///

@@ -7,13 +7,8 @@
 #include "support/KeyTable.h"
 
 #include <algorithm>
-#include <atomic>
-#include <condition_variable>
 #include <cstring>
-#include <mutex>
-#include <optional>
 #include <string_view>
-#include <thread>
 
 using namespace pushpull;
 
@@ -23,7 +18,7 @@ namespace {
 /// commit-ordered transactions (body, start/final stacks) and the committed
 /// shared log.  Two machines with equal keys get identical verdicts from
 /// SerializabilityChecker::checkCommitOrder, which is deterministic in
-/// that content, so verdicts can be memoized per explorer (or per worker).
+/// that content, so verdicts can be memoized per search.
 void committedContentKey(const PushPullMachine &M, StateTable &Table,
                          std::string &Key) {
   SmallVec<const CommittedTx *, 8> Order;
@@ -62,13 +57,8 @@ void committedContentKey(const PushPullMachine &M, StateTable &Table,
       Append32(Table.opKey(E.Op));
 }
 
-/// The candidate scratch arena: one per explorer worker thread, rewound
-/// by expandReduced's scope after every expansion, so steady-state
-/// candidate enumeration performs no heap allocation at all.
-thread_local Arena CandidateArena;
-
 /// Enumerate every candidate move from \p M as a (firing, footprint)
-/// pair, in the canonical rule order the sequential DFS has always used:
+/// pair, in the search's canonical rule order:
 /// per thread, guarded BEGIN | APP (step x completion) | PUSH (each npshd)
 /// | PULL (each global entry not in L, opacity toggle respected) | CMT |
 /// backward UNAPP / UNPUSH / UNPULL.  Candidates are *attempts*: whether
@@ -105,7 +95,7 @@ void enumerateCandidates(const PushPullMachine &M,
       FiringFootprint PushFP = FP(RuleKind::Push);
       // The commutativity refinement needs the interned key of the
       // operation this push would publish; only intern when an oracle is
-      // actually in play (the table is internally synchronized).
+      // actually in play.
       if (Config.CommutDB)
         PushFP.OpKey = M.spec().table().opKey(Th.L[I].Op);
       Out.push_back(
@@ -142,64 +132,6 @@ void enumerateCandidates(const PushPullMachine &M,
   }
 }
 
-/// Expand the successors of \p M under the configured reduction, counting
-/// into \p R.  Each candidate fires on \p M itself under an undo mark;
-/// \p Emit receives the successor (\p M, until the rollback) together
-/// with its sleep set, and the rollback restores \p M before the next
-/// candidate.  Shared by the sequential and parallel searches so their
-/// enumeration (and thus their visited closure) is identical per
-/// reduction mode.
-///
-/// Sleep-set protocol: candidates are explored in canonical order; a
-/// candidate already in the accumulated sleep set (the inherited set plus
-/// the *applied* earlier siblings) is pruned — it was fired at an
-/// ancestor and only firings independent of it happened since, so its
-/// subtree here is a commutation of one already explored.  Rejected
-/// candidates are never added to the accumulator: a later sibling's
-/// subtree may *enable* them, and those subtrees must not prune them.
-/// The child of firing C inherits the accumulated members independent of
-/// C (their firing identities are stable across C: no independent firing
-/// reorders another thread's local log or removes global entries).
-template <typename Emit>
-void expandReduced(PushPullMachine &M, const ExplorerConfig &Config,
-                   const SleepSet &Sleep, ExplorerReport &R,
-                   Emit &&EmitNext) {
-  Arena::Scope CandScope(CandidateArena);
-  ArenaVec<Candidate> Cands(CandidateArena);
-  enumerateCandidates(M, Config, Cands);
-
-  if (usesPersistentSets(Config.Reduce)) {
-    size_t Dropped = restrictToPersistent(Cands);
-    if (Dropped) {
-      R.FiringsPruned += Dropped;
-      ++R.PersistentCuts;
-    }
-  }
-
-  const bool UseSleep = usesSleepSets(Config.Reduce);
-  SleepSet Accum = Sleep;
-
-  for (const Candidate &C : Cands) {
-    if (UseSleep && Accum.contains(C.F)) {
-      ++R.FiringsPruned;
-      continue;
-    }
-    PushPullMachine::UndoMark Mark = M.mark();
-    if (applyFiring(M, C.F)) {
-      ++R.RuleApplications;
-      SleepSet ChildSleep =
-          UseSleep ? Accum.survivorsAfter(C, Config.CommutDB) : SleepSet();
-      EmitNext(M, std::move(ChildSleep));
-      if (UseSleep)
-        Accum.insert(C);
-    } else if (C.F.Kind != FiringKind::Begin) {
-      // Guarded begin cannot fail, so it never counts as rejected.
-      ++R.RejectedAttempts;
-    }
-    M.rollbackTo(Mark);
-  }
-}
-
 /// The visited set: configuration key -> the shallowest depth the
 /// configuration was explored at and the intersection of the sleep sets
 /// it was explored with.  A revisit is pruned only if it is no shallower
@@ -220,11 +152,10 @@ public:
     bool Explore; ///< Caller should expand its successors.
   };
 
-  /// Record a visit of \p Key (hash \p H = KeyTable<>::hash(Key)) at
-  /// \p Depth with \p Sleep.
-  Claim claim(std::string_view Key, uint64_t H, size_t Depth,
-              const SleepSet &Sleep, bool UseSleep) {
-    KeyTable<>::Insert In = Keys.insert(Key, H);
+  /// Record a visit of \p Key at \p Depth with \p Sleep.
+  Claim claim(std::string_view Key, size_t Depth, const SleepSet &Sleep,
+              bool UseSleep) {
+    KeyTable<>::Insert In = Keys.insert(Key);
     if (In.Fresh) {
       Depths.push_back(Depth);
       if (UseSleep)
@@ -276,52 +207,19 @@ private:
   std::string KeyBuf;
 };
 
-/// One unit of parallel work: a configuration, the depth it was reached
-/// at, and the sleep set it inherited from its parent's expansion.
-struct WorkItem {
-  PushPullMachine M;
-  size_t Depth;
-  SleepSet Sleep;
-};
-
 } // namespace
 
-/// What the search threads share: the visited set, the MaxConfigs slot
-/// counter and the lock around OnTerminal.  The visited set is sharded by
-/// the top six bits of the key hash, each shard under its own mutex, when
-/// a pool searches; a single thread gets one shard, because each shard's
-/// table and arena allocate on their first key.
+/// The state of one explore() call.
 struct Explorer::Search {
-  explicit Search(unsigned Threads) : Shards(Threads > 1 ? 64 : 1) {}
+  explicit Search(const SequentialSpec &Spec) : Oracle(Spec) {}
 
-  VisitedSet::Claim claim(std::string_view Key, size_t Depth,
-                          const SleepSet &Sleep, bool UseSleep) {
-    uint64_t H = KeyTable<>::hash(Key);
-    Shard &S = Shards[(H >> 58) & (Shards.size() - 1)];
-    std::lock_guard<std::mutex> Lock(S.Mutex);
-    return S.Set.claim(Key, H, Depth, Sleep, UseSleep);
-  }
-
-  struct Shard {
-    std::mutex Mutex;
-    VisitedSet Set;
-  };
-  std::vector<Shard> Shards;
-  /// Budget slots taken: one per fresh claim, past MaxConfigs included.
-  std::atomic<uint64_t> Slots{0};
-  std::mutex TerminalMutex;
-};
-
-/// What one search thread owns: the mover checker it asks, its oracle and
-/// verdict memo, its key buffer, and the report it counts into.
-struct Explorer::Worker {
-  Worker(const SequentialSpec &Spec, MoverChecker &Movers)
-      : Movers(Movers), Oracle(Spec) {}
-
-  MoverChecker &Movers;
+  VisitedSet Visited;
   SerializabilityChecker Oracle;
   VerdictMemo Memo;
   std::string KeyBuf;
+  /// Candidate enumeration scratch, rewound after every expansion, so
+  /// steady-state enumeration performs no heap allocation at all.
+  Arena Candidates;
   ExplorerReport Report;
 };
 
@@ -363,8 +261,8 @@ void Explorer::canonicalKey(const PushPullMachine &M, SleepSet &Sleep,
 ExplorerReport
 Explorer::explore(const std::vector<std::vector<CodePtr>> &Programs) {
   // The explorer reads the trace only when rendering a failing terminal;
-  // recording it would cost a chain append and a rollback per applied rule
-  // and, in the pool, a chain share per handed-off copy.
+  // recording it would cost a chain append and a rollback per applied
+  // rule.
   MachineConfig MC = Config.Machine;
   MC.RecordTrace = false;
   PushPullMachine M(Spec, Movers, MC);
@@ -375,43 +273,31 @@ Explorer::explore(const std::vector<std::vector<CodePtr>> &Programs) {
   if (usesSymmetry(Config.Reduce))
     Perms = symmetryGroup(Programs);
 
-  Search S(Config.Threads);
-  if (Config.Threads > 1)
-    return exploreParallel(S, std::move(M));
-  Worker W(Spec, Movers);
-  visit(S, W, M, 0, SleepSet());
-  return std::move(W.Report);
+  Search S(Spec);
+  visit(S, M, 0, SleepSet());
+  return std::move(S.Report);
 }
 
-bool Explorer::enter(Search &S, Worker &W, const PushPullMachine &M,
-                     size_t Depth, const SleepSet &Sleep) {
-  ExplorerReport &R = W.Report;
-  if (S.Slots.load(std::memory_order_relaxed) >= Config.MaxConfigs ||
-      Depth > Config.MaxDepth) {
+bool Explorer::enter(Search &S, const PushPullMachine &M, size_t Depth,
+                     const SleepSet &Sleep) {
+  ExplorerReport &R = S.Report;
+  if (R.ConfigsVisited >= Config.MaxConfigs || Depth > Config.MaxDepth) {
     R.Truncated = true;
     return false;
   }
   // Under symmetry, key and sleep set move to the canonical labeling so
   // entries stored by isomorphic configurations compare like with like.
   SleepSet StoredSleep = Sleep;
-  canonicalKey(M, StoredSleep, R.SymmetryHits, W.KeyBuf);
-  VisitedSet::Claim C =
-      S.claim(W.KeyBuf, Depth, StoredSleep, usesSleepSets(Config.Reduce));
+  canonicalKey(M, StoredSleep, R.SymmetryHits, S.KeyBuf);
+  VisitedSet::Claim C = S.Visited.claim(S.KeyBuf, Depth, StoredSleep,
+                                        usesSleepSets(Config.Reduce));
   if (!C.Explore)
     return false;
   if (C.Fresh) {
-    // A fresh configuration takes its budget slot here; racing workers
-    // may all have passed the check above, so a slot past the budget
-    // truncates instead of counting or expanding.
-    if (S.Slots.fetch_add(1, std::memory_order_relaxed) >=
-        Config.MaxConfigs) {
-      R.Truncated = true;
-      return false;
-    }
     ++R.ConfigsVisited;
     if (Config.CheckInvariants)
       for (const ThreadState &Th : M.threads()) {
-        InvariantReport IR = checkAllInvariants(Th, M.global(), W.Movers);
+        InvariantReport IR = checkAllInvariants(Th, M.global(), Movers);
         if (!IR.Holds) {
           ++R.InvariantViolations;
           if (R.FirstFailure.empty())
@@ -425,17 +311,15 @@ bool Explorer::enter(Search &S, Worker &W, const PushPullMachine &M,
   if (!C.Fresh)
     return false;
   ++R.TerminalConfigs;
-  if (Config.OnTerminal) {
-    std::lock_guard<std::mutex> Lock(S.TerminalMutex);
+  if (Config.OnTerminal)
     Config.OnTerminal(M);
-  }
   if (Config.SkipOracle) {
     // The program was statically proved serializable; the per-terminal
     // replay is certified redundant.
     ++R.OracleSkips;
     return false;
   }
-  const SerializabilityVerdict &V = W.Memo.verdict(W.Oracle, M);
+  const SerializabilityVerdict &V = S.Memo.verdict(S.Oracle, M);
   if (V.Serializable != Tri::Yes) {
     ++R.NonSerializable;
     if (R.FirstFailure.empty()) {
@@ -453,76 +337,53 @@ bool Explorer::enter(Search &S, Worker &W, const PushPullMachine &M,
   return false;
 }
 
-void Explorer::visit(Search &S, Worker &W, PushPullMachine &M, size_t Depth,
+/// Sleep-set protocol: candidates are explored in canonical order; a
+/// candidate already in the accumulated sleep set (the inherited set plus
+/// the *applied* earlier siblings) is pruned — it was fired at an
+/// ancestor and only firings independent of it happened since, so its
+/// subtree here is a commutation of one already explored.  Rejected
+/// candidates are never added to the accumulator: a later sibling's
+/// subtree may *enable* them, and those subtrees must not prune them.
+/// The child of firing C inherits the accumulated members independent of
+/// C (their firing identities are stable across C: no independent firing
+/// reorders another thread's local log or removes global entries).
+void Explorer::visit(Search &S, PushPullMachine &M, size_t Depth,
                      const SleepSet &Sleep) {
-  if (!enter(S, W, M, Depth, Sleep))
+  if (!enter(S, M, Depth, Sleep))
     return;
-  expandReduced(M, Config, Sleep, W.Report,
-                [&](PushPullMachine &Next, const SleepSet &NextSleep) {
-                  visit(S, W, Next, Depth + 1, NextSleep);
-                });
-}
+  ExplorerReport &R = S.Report;
+  Arena::Scope CandScope(S.Candidates);
+  ArenaVec<Candidate> Cands(S.Candidates);
+  enumerateCandidates(M, Config, Cands);
 
-ExplorerReport Explorer::exploreParallel(Search &S, PushPullMachine Root) {
-  std::mutex QueueMutex;
-  std::condition_variable QueueCV;
-  std::vector<WorkItem> Stack; // LIFO: depth-first-ish, bounded frontier.
-  size_t ActiveWorkers = 0;
-  Stack.push_back(WorkItem{std::move(Root), 0, SleepSet()});
-
-  auto Run = [&](ExplorerReport &Out) {
-    // Worker-local checkers: verdicts are cache-independent, so private
-    // caches are sound; the expensive denotation steps are still shared
-    // across workers through the spec's interning table.
-    MoverChecker WorkerMovers(Spec, Movers.limits(),
-                              Movers.precongruence().limits());
-    Worker W(Spec, WorkerMovers);
-    std::vector<WorkItem> Children;
-    for (;;) {
-      std::optional<WorkItem> Item;
-      {
-        std::unique_lock<std::mutex> Lock(QueueMutex);
-        QueueCV.wait(Lock,
-                     [&] { return !Stack.empty() || ActiveWorkers == 0; });
-        if (Stack.empty())
-          break; // No work anywhere and nobody producing: done.
-        Item.emplace(std::move(Stack.back()));
-        Stack.pop_back();
-        ++ActiveWorkers;
-      }
-
-      Item->M.setMovers(WorkerMovers);
-      // The hand-off: each child is a copy of the successor, taken before
-      // the rollback restores Item->M.
-      if (enter(S, W, Item->M, Item->Depth, Item->Sleep))
-        expandReduced(Item->M, Config, Item->Sleep, W.Report,
-                      [&](const PushPullMachine &Next, SleepSet NextSleep) {
-                        Children.push_back(WorkItem{Next, Item->Depth + 1,
-                                                    std::move(NextSleep)});
-                      });
-
-      {
-        std::lock_guard<std::mutex> Lock(QueueMutex);
-        for (WorkItem &C : Children)
-          Stack.push_back(std::move(C));
-        --ActiveWorkers;
-      }
-      Children.clear();
-      QueueCV.notify_all();
+  if (usesPersistentSets(Config.Reduce)) {
+    size_t Dropped = restrictToPersistent(Cands);
+    if (Dropped) {
+      R.FiringsPruned += Dropped;
+      ++R.PersistentCuts;
     }
-    Out = std::move(W.Report);
-  };
+  }
 
-  std::vector<ExplorerReport> Reports(Config.Threads);
-  std::vector<std::thread> Pool;
-  Pool.reserve(Config.Threads);
-  for (ExplorerReport &Out : Reports)
-    Pool.emplace_back(Run, std::ref(Out));
-  for (std::thread &T : Pool)
-    T.join();
+  const bool UseSleep = usesSleepSets(Config.Reduce);
+  SleepSet Accum = Sleep;
 
-  ExplorerReport Report;
-  for (const ExplorerReport &R : Reports)
-    Report.absorb(R);
-  return Report;
+  for (const Candidate &C : Cands) {
+    if (UseSleep && Accum.contains(C.F)) {
+      ++R.FiringsPruned;
+      continue;
+    }
+    PushPullMachine::UndoMark Mark = M.mark();
+    if (applyFiring(M, C.F)) {
+      ++R.RuleApplications;
+      SleepSet ChildSleep =
+          UseSleep ? Accum.survivorsAfter(C, Config.CommutDB) : SleepSet();
+      visit(S, M, Depth + 1, ChildSleep);
+      if (UseSleep)
+        Accum.insert(C);
+    } else if (C.F.Kind != FiringKind::Begin) {
+      // Guarded begin cannot fail, so it never counts as rejected.
+      ++R.RejectedAttempts;
+    }
+    M.rollbackTo(Mark);
+  }
 }

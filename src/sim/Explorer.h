@@ -29,31 +29,17 @@
 /// without symmetry preserve the exact TerminalConfigs and per-terminal
 /// verdict counts (the tests/reduction_test.cpp battery enforces this).
 ///
-/// Both searches take every configuration through one step,
-/// Explorer::enter, the only place that counts a configuration, checks
-/// an invariant or asks the oracle.  With ExplorerConfig::Threads == 1 a
-/// recursive DFS calls it on one machine, firing each successor in place
-/// and rolling it back (the machine's undo trail); with Threads > 1 a
-/// worker pool does, over a shared LIFO work queue of configuration copies
-/// (sleep sets travel with the work items) and a visited set sharded 64
-/// ways.  Each worker owns its
-/// mover checker, oracle and report (verdicts are cache-independent, so
-/// worker-local caches are sound), and after join ExplorerReport::absorb
-/// sums the reports in worker order.  A fresh configuration takes its
-/// slot in the MaxConfigs budget with one atomic increment, so racing
-/// workers never count past the budget.
+/// The search is one recursive DFS over one machine, on the calling
+/// thread: each successor is fired in place and rolled back once its
+/// subtree is done (the machine's undo trail), so no machine is copied.
+/// Every configuration passes through one step, Explorer::enter, the only
+/// place that counts a configuration, checks an invariant or asks the
+/// oracle.
 ///
-/// Which report fields are deterministic: the visited/accounting protocol
-/// guarantees that the aggregate totals ConfigsVisited / TerminalConfigs /
-/// NonSerializable / InvariantViolations are deterministic for a given
-/// (config, reduction mode) and equal across Threads=1 and Threads>1 on
-/// non-truncated explorations.  RuleApplications, RejectedAttempts,
-/// FiringsPruned, PersistentCuts and SymmetryHits count *work performed*:
-/// they are deterministic under Threads=1 but vary with visit order under
-/// Threads>1 (parallel workers may race to a configuration and re-expand
-/// it), and which failure is reported first likewise depends on order.
-/// Tests must assert only the deterministic totals when Threads>1 — see
-/// tests/explorer_test.cpp and tests/reduction_test.cpp.
+/// Every report field is deterministic: for a given (config, reduction
+/// mode) the visit order is fixed, so the totals, the work counters
+/// (RuleApplications, RejectedAttempts, FiringsPruned, PersistentCuts,
+/// SymmetryHits) and the first failure repeat exactly from run to run.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -93,10 +79,6 @@ struct ExplorerConfig {
   uint64_t MaxConfigs = 2000000;
   /// Abandon paths longer than this many rule applications.
   size_t MaxDepth = 64;
-  /// Worker threads.  1 (the default) keeps the exact sequential DFS;
-  /// >1 shards the search across a pool (same aggregate totals, see the
-  /// file comment).
-  unsigned Threads = 1;
   /// Certified strong-commutation oracle (core/Commut.h), or null.  When
   /// set, two things happen *together* (they are only sound as a pair):
   /// the independence relation treats cross-thread PUSHes of strongly
@@ -105,7 +87,7 @@ struct ExplorerConfig {
   /// configurations that differ only by certified commutations.  The
   /// oracle must be sound for the explored spec and cover its operation
   /// alphabet (analysis/MoverTable.h coversProgram); it must outlive the
-  /// exploration and be thread-safe when Threads > 1.
+  /// exploration.
   const CommutativityOracle *CommutDB = nullptr;
   /// Skip the per-terminal serializability oracle replay.  Only sound
   /// when the program has been statically proved conflict-serializable
@@ -113,9 +95,8 @@ struct ExplorerConfig {
   /// ExplorerReport::OracleSkips and NonSerializable stays 0 by fiat.
   bool SkipOracle = false;
   /// Invoked on every *fresh* quiescent (terminal) configuration, after
-  /// the visited-set claim.  Serialized under a mutex when Threads > 1.
-  /// Used by the equivalence tests to compare terminal state graphs
-  /// across reduction modes.
+  /// the visited-set claim.  Used by the equivalence tests to compare
+  /// terminal state graphs across reduction modes.
   std::function<void(const PushPullMachine &)> OnTerminal;
 };
 
@@ -149,25 +130,6 @@ struct ExplorerReport {
   /// Diagnostic for the first failure, if any.
   std::string FirstFailure;
 
-  /// Add \p O's counters into this report.  Truncated is or-ed and the
-  /// first non-empty FirstFailure is kept, so summing worker reports in
-  /// worker order keeps the first worker's failure.
-  void absorb(const ExplorerReport &O) {
-    ConfigsVisited += O.ConfigsVisited;
-    TerminalConfigs += O.TerminalConfigs;
-    RuleApplications += O.RuleApplications;
-    RejectedAttempts += O.RejectedAttempts;
-    NonSerializable += O.NonSerializable;
-    InvariantViolations += O.InvariantViolations;
-    FiringsPruned += O.FiringsPruned;
-    PersistentCuts += O.PersistentCuts;
-    SymmetryHits += O.SymmetryHits;
-    OracleSkips += O.OracleSkips;
-    Truncated = Truncated || O.Truncated;
-    if (FirstFailure.empty())
-      FirstFailure = O.FirstFailure;
-  }
-
   bool clean() const {
     return NonSerializable == 0 && InvariantViolations == 0;
   }
@@ -192,28 +154,22 @@ public:
   ExplorerReport explore(const std::vector<std::vector<CodePtr>> &Programs);
 
 private:
-  /// What the search threads share, and what one of them owns
-  /// (Explorer.cpp).
+  /// The state of one explore() call (Explorer.cpp).
   struct Search;
-  struct Worker;
 
-  /// The per-configuration step both searches take: check the budget and
-  /// depth, claim \p M's canonical key in the visited set, and on a fresh
-  /// claim count the configuration, check the invariants and, at a
-  /// quiescent configuration, count the terminal and ask the oracle.
-  /// Returns whether the caller should expand \p M's successors.
-  bool enter(Search &S, Worker &W, const PushPullMachine &M, size_t Depth,
+  /// The per-configuration step: check the budget and depth, claim \p M's
+  /// canonical key in the visited set, and on a fresh claim count the
+  /// configuration, check the invariants and, at a quiescent
+  /// configuration, count the terminal and ask the oracle.  Returns
+  /// whether the caller should expand \p M's successors.
+  bool enter(Search &S, const PushPullMachine &M, size_t Depth,
              const SleepSet &Sleep);
 
-  /// The Threads == 1 search: a recursive DFS over one machine.  Each
-  /// successor is fired on \p M in place and rolled back once its subtree
-  /// is done, so \p M is as it was when visit returns and the search
-  /// copies no machine.
-  void visit(Search &S, Worker &W, PushPullMachine &M, size_t Depth,
+  /// The search: a recursive DFS over one machine.  Each successor is
+  /// fired on \p M in place and rolled back once its subtree is done, so
+  /// \p M is as it was when visit returns.
+  void visit(Search &S, PushPullMachine &M, size_t Depth,
              const SleepSet &Sleep);
-
-  /// The Threads > 1 search: a worker pool over a shared LIFO frontier.
-  ExplorerReport exploreParallel(Search &S, PushPullMachine Root);
 
   /// Render into \p Out the canonical visited-set key of \p M under the
   /// configured reduction: the minimum of configKey over the symmetry

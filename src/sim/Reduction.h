@@ -188,7 +188,7 @@ bool applyFiring(PushPullMachine &M, const Firing &F);
 /// re-exploration here would only re-derive commuted interleavings.
 /// Represented as a small sorted vector of candidates (footprints ride
 /// along because surviving a step requires an independence check against
-/// the fired candidate).  Sleep sets ride on every explorer work item and
+/// the fired candidate).  Sleep sets ride on every DFS frame and
 /// visited-map entry; the inline capacity keeps the common few-member set
 /// off the heap.
 class SleepSet {

@@ -699,7 +699,6 @@ ScenarioOutcome pushpull::runScenario(const Scenario &S) {
       // Exhaustive interleaving exploration of the scenario's programs —
       // every schedule, not just the one the engine/scheduler produced.
       ExplorerConfig EC;
-      EC.Threads = S.ExplorerThreads;
       EC.Reduce = S.ExplorerReduction;
       EC.CommutDB = S.CommutDB;
       EC.SkipOracle = S.SkipOracleReplay;

@@ -92,8 +92,6 @@ struct Scenario {
   /// checks construct (pprun --max-reachable / --max-pairs).
   MoverLimits Movers;
   PrecongruenceLimits Pre;
-  /// Worker threads for the "explore" check (pprun --threads).
-  unsigned ExplorerThreads = 1;
   /// Partial-order reduction for the "explore" check (pprun --reduction).
   Reduction ExplorerReduction = Reduction::None;
   /// Certified commutativity oracle for the "explore" check (pprun

@@ -106,8 +106,8 @@ Arena::~Arena() { rewind(Mark{}); }
 // of runs: whole free lists, linked through their head nodes.  A thread
 // that runs dry adopts one run (or, when there is none, carves a fresh
 // slab from a process-wide arena) under a mutex, and an exiting thread
-// hands each non-empty list back as one run, in O(1) per class (parallel
-// explorer workers and stress threads are short-lived).  Adopting one run
+// hands each non-empty list back as one run, in O(1) per class (stress
+// workers and checkers are short-lived).  Adopting one run
 // rather than the whole pool matters: threads that run dry together each
 // get a run back instead of one taking everything and the rest carving
 // new slabs, so the pool stops growing at its peak concurrent demand.

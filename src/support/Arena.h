@@ -19,9 +19,8 @@
 ///    chunks (support/Cow.h).  Chunks are recycled through thread-local
 ///    free lists refilled from a process-wide arena (slabs are never
 ///    returned to the OS; peak usage bounds the footprint).  Chunks may be
-///    freed from a different thread than the one that allocated them — the
-///    parallel explorer moves machines between workers — so the free lists
-///    only cache, never own.  Under AddressSanitizer the pool is bypassed
+///    freed from a different thread than the one that allocated them, so
+///    the free lists only cache, never own.  Under AddressSanitizer the pool is bypassed
 ///    (plain operator new/delete) so poisoning and use-after-free detection
 ///    see every chunk individually; see DESIGN.md section 11.
 ///
@@ -88,7 +87,7 @@ struct CopyTick {
 /// A bump-pointer arena: allocation is a pointer add within the current
 /// block, falling back to a new (geometrically grown) block.  Individual
 /// frees do not exist; Scope rewinds to a checkpoint.  Not thread-safe —
-/// use one arena per thread (the explorer keeps a thread_local one).
+/// use one arena per thread (the explorer keeps one per search).
 class Arena {
 public:
   Arena() = default;

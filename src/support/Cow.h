@@ -8,10 +8,9 @@
 /// \file
 /// Structural sharing for the machine's append-mostly state.  The PUSH/PULL
 /// semantics is persistent by nature — a rule firing appends to one log and
-/// leaves everything else alone — so a machine copy (the parallel
-/// explorer's hand-off of each successor to its work queue) should share,
-/// not duplicate.  A machine that is never copied owns every chunk
-/// outright and writes them all in place.
+/// leaves everything else alone — so a machine copy should share, not
+/// duplicate.  A machine that is never copied owns every chunk outright
+/// and writes them all in place.
 ///
 /// CowChain<T, Cap> — a refcounted chain of fixed-capacity chunks, newest
 /// first (Head->Prev walks toward the oldest entries).  Copying a chain is

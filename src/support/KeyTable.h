@@ -23,8 +23,7 @@
 /// renumbers keys.
 ///
 /// \p HashFn maps a std::string_view to an integer; it is a type
-/// parameter so tests can force collisions.  Not thread-safe: the parallel
-/// explorer puts one table per shard under the shard's mutex.
+/// parameter so tests can force collisions.  Not thread-safe.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,16 +48,10 @@ public:
     bool Fresh;     ///< The key was not present before this call.
   };
 
-  /// The table's hash of \p Key.  Callers that route keys (the parallel
-  /// explorer picks a shard from the high bits) compute it once and pass
-  /// it to insert().
-  static uint64_t hash(std::string_view Key) {
-    return static_cast<uint64_t>(HashFn{}(Key));
-  }
-
-  /// Find \p Key, whose hash is \p H, or insert it under the next dense
-  /// index, copying its bytes into the table's arena.
-  Insert insert(std::string_view Key, uint64_t H) {
+  /// Find \p Key or insert it under the next dense index, copying its
+  /// bytes into the table's arena.
+  Insert insert(std::string_view Key) {
+    const uint64_t H = static_cast<uint64_t>(HashFn{}(Key));
     if ((Keys.size() + 1) * 4 > Slots.size() * 3)
       grow();
     const size_t Mask = Slots.size() - 1;
@@ -78,7 +71,6 @@ public:
         return {S.Index, false};
     }
   }
-  Insert insert(std::string_view Key) { return insert(Key, hash(Key)); }
 
   size_t size() const { return Keys.size(); }
 

@@ -430,27 +430,24 @@ TEST(Prover, SkipOracleIsObservationallyEquivalent) {
   std::string Why;
   ASSERT_TRUE(DB.coversProgram(Ps, &Why)) << Why;
 
-  auto Run = [&](bool Skip, unsigned Threads) {
+  auto Run = [&](bool Skip) {
     ExplorerConfig EC;
     EC.Reduce = Reduction::Sleep;
-    EC.Threads = Threads;
     EC.CommutDB = &DB;
     EC.SkipOracle = Skip;
     Explorer E(Spec, Movers, EC);
     return E.explore(Ps);
   };
-  for (unsigned Threads : {1u, 4u}) {
-    ExplorerReport Full = Run(false, Threads);
-    ExplorerReport Skip = Run(true, Threads);
-    ASSERT_FALSE(Full.Truncated);
-    ASSERT_FALSE(Skip.Truncated);
-    EXPECT_TRUE(Full.clean()) << Full.FirstFailure;
-    EXPECT_TRUE(Skip.clean()) << Skip.FirstFailure;
-    EXPECT_EQ(Skip.ConfigsVisited, Full.ConfigsVisited);
-    EXPECT_EQ(Skip.TerminalConfigs, Full.TerminalConfigs);
-    EXPECT_EQ(Full.OracleSkips, 0u);
-    EXPECT_EQ(Skip.OracleSkips, Skip.TerminalConfigs);
-  }
+  ExplorerReport Full = Run(false);
+  ExplorerReport Skip = Run(true);
+  ASSERT_FALSE(Full.Truncated);
+  ASSERT_FALSE(Skip.Truncated);
+  EXPECT_TRUE(Full.clean()) << Full.FirstFailure;
+  EXPECT_TRUE(Skip.clean()) << Skip.FirstFailure;
+  EXPECT_EQ(Skip.ConfigsVisited, Full.ConfigsVisited);
+  EXPECT_EQ(Skip.TerminalConfigs, Full.TerminalConfigs);
+  EXPECT_EQ(Full.OracleSkips, 0u);
+  EXPECT_EQ(Skip.OracleSkips, Skip.TerminalConfigs);
 }
 
 // ---------------------------------------------------------------------------

@@ -3,9 +3,9 @@
 // A reduction bug would silently *hide* non-serializable runs, so the
 // partial-order reduction layer is held to an observation-equivalence
 // standard: on a grid of small scopes, every reduction mode must report
-// the same verdicts as full enumeration, under both the sequential and
-// the parallel engine; with a planted criterion bug, every mode must
-// still find the counterexample; and the independence relation itself is
+// the same verdicts as full enumeration; with a planted criterion bug,
+// every mode must still find the counterexample; and the independence
+// relation itself is
 // cross-validated by executing claimed-independent firing pairs in both
 // orders from fuzzed configurations and comparing the resulting interned
 // configuration ids.
@@ -27,7 +27,6 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <random>
 #include <string>
 #include <vector>
@@ -52,12 +51,11 @@ struct Scope {
   bool Symmetric = false;
 };
 
-ExplorerReport runScope(const Scope &S, Reduction Mode, unsigned Threads) {
+ExplorerReport runScope(const Scope &S, Reduction Mode) {
   auto Spec = S.MakeSpec();
   MoverChecker Movers(*Spec);
   ExplorerConfig EC;
   EC.Reduce = Mode;
-  EC.Threads = Threads;
   EC.ExploreBackwardRules = S.Backward;
   EC.CheckInvariants = S.Invariants;
   EC.MaxConfigs = 2000000;
@@ -66,8 +64,8 @@ ExplorerReport runScope(const Scope &S, Reduction Mode, unsigned Threads) {
   // pulled, and an UNAPP/APP round recreates the operation under a fresh
   // id, so the puller's local log accumulates dangling pulled entries
   // without limit.  They therefore run depth-truncated — and on truncated
-  // searches only the verdicts are comparable (which configurations fall
-  // inside the bound depends on traversal order; see Explorer.h).
+  // searches only the verdicts are comparable across modes (which
+  // configurations fall inside the bound depends on the mode's traversal).
   EC.MaxDepth = S.Backward ? 40 : 64;
   Explorer E(*Spec, Movers, EC);
   std::vector<std::vector<CodePtr>> Ps;
@@ -105,12 +103,12 @@ std::vector<Scope> batteryScopes() {
 } // namespace
 
 // ---------------------------------------------------------------------------
-// The equivalence battery: every mode x thread count against Reduction=None.
+// The equivalence battery: every mode against Reduction=None.
 // ---------------------------------------------------------------------------
 
 TEST(ReductionEquivalence, BatteryMatchesFullEnumeration) {
   for (const Scope &S : batteryScopes()) {
-    ExplorerReport Base = runScope(S, Reduction::None, 1);
+    ExplorerReport Base = runScope(S, Reduction::None);
     if (!S.Backward) {
       ASSERT_FALSE(Base.Truncated) << S.Name;
     }
@@ -118,66 +116,51 @@ TEST(ReductionEquivalence, BatteryMatchesFullEnumeration) {
     ASSERT_TRUE(Base.clean()) << S.Name << ": " << Base.FirstFailure;
 
     for (Reduction Mode : AllModes) {
-      for (unsigned Threads : {1u, 4u}) {
-        ExplorerReport R = runScope(S, Mode, Threads);
-        std::string Tag = std::string(S.Name) + " / " + toString(Mode) +
-                          " / threads=" + std::to_string(Threads);
-        if (!S.Backward) {
-          ASSERT_FALSE(R.Truncated) << Tag;
-        }
-
-        // Verdicts are preserved by every mode (on these clean scopes:
-        // all zero).
-        EXPECT_EQ(R.NonSerializable, Base.NonSerializable) << Tag;
-        EXPECT_EQ(R.InvariantViolations, Base.InvariantViolations) << Tag;
-        EXPECT_TRUE(R.clean()) << Tag << ": " << R.FirstFailure;
-
-        // Totals are only comparable between non-truncated searches
-        // (truncation cuts at a traversal-order-dependent frontier).
-        if (Base.Truncated || R.Truncated)
-          continue;
-
-        if (Mode == Reduction::None) {
-          EXPECT_EQ(R.ConfigsVisited, Base.ConfigsVisited) << Tag;
-          EXPECT_EQ(R.TerminalConfigs, Base.TerminalConfigs) << Tag;
-          EXPECT_EQ(R.FiringsPruned, 0u) << Tag;
-        } else if (Mode == Reduction::Sleep) {
-          // Sleep sets prune transitions, never states: identical closure.
-          EXPECT_EQ(R.ConfigsVisited, Base.ConfigsVisited) << Tag;
-          EXPECT_EQ(R.TerminalConfigs, Base.TerminalConfigs) << Tag;
-        } else if (Mode == Reduction::Persistent) {
-          // Persistent sets may skip intermediate configurations but
-          // reach every quiescent terminal.
-          EXPECT_LE(R.ConfigsVisited, Base.ConfigsVisited) << Tag;
-          EXPECT_EQ(R.TerminalConfigs, Base.TerminalConfigs) << Tag;
-        } else {
-          // Symmetry also merges terminals (quotient under renaming).
-          EXPECT_LE(R.ConfigsVisited, Base.ConfigsVisited) << Tag;
-          EXPECT_LE(R.TerminalConfigs, Base.TerminalConfigs) << Tag;
-          if (S.Symmetric) {
-            EXPECT_GT(R.SymmetryHits, 0u) << Tag;
-            EXPECT_LT(R.TerminalConfigs, Base.TerminalConfigs) << Tag;
-          } else {
-            // No identical programs: the group is trivial and the mode
-            // degenerates to Persistent exactly.
-            ExplorerReport P = runScope(S, Reduction::Persistent, 1);
-            EXPECT_EQ(R.ConfigsVisited, P.ConfigsVisited) << Tag;
-            EXPECT_EQ(R.TerminalConfigs, P.TerminalConfigs) << Tag;
-            EXPECT_EQ(R.SymmetryHits, 0u) << Tag;
-          }
-        }
+      ExplorerReport R = runScope(S, Mode);
+      std::string Tag = std::string(S.Name) + " / " + toString(Mode);
+      if (!S.Backward) {
+        ASSERT_FALSE(R.Truncated) << Tag;
       }
 
-      // The deterministic aggregates agree between the sequential and the
-      // parallel engine, mode by mode (non-truncated searches only).
-      ExplorerReport Seq = runScope(S, Mode, 1);
-      ExplorerReport Par = runScope(S, Mode, 4);
-      std::string Tag = std::string(S.Name) + " / " + toString(Mode);
-      EXPECT_EQ(Par.NonSerializable, Seq.NonSerializable) << Tag;
-      EXPECT_EQ(Par.InvariantViolations, Seq.InvariantViolations) << Tag;
-      if (!Seq.Truncated && !Par.Truncated) {
-        EXPECT_EQ(Par.ConfigsVisited, Seq.ConfigsVisited) << Tag;
-        EXPECT_EQ(Par.TerminalConfigs, Seq.TerminalConfigs) << Tag;
+      // Verdicts are preserved by every mode (on these clean scopes:
+      // all zero).
+      EXPECT_EQ(R.NonSerializable, Base.NonSerializable) << Tag;
+      EXPECT_EQ(R.InvariantViolations, Base.InvariantViolations) << Tag;
+      EXPECT_TRUE(R.clean()) << Tag << ": " << R.FirstFailure;
+
+      // Totals are only comparable between non-truncated searches
+      // (truncation cuts at a traversal-order-dependent frontier).
+      if (Base.Truncated || R.Truncated)
+        continue;
+
+      if (Mode == Reduction::None) {
+        EXPECT_EQ(R.ConfigsVisited, Base.ConfigsVisited) << Tag;
+        EXPECT_EQ(R.TerminalConfigs, Base.TerminalConfigs) << Tag;
+        EXPECT_EQ(R.FiringsPruned, 0u) << Tag;
+      } else if (Mode == Reduction::Sleep) {
+        // Sleep sets prune transitions, never states: identical closure.
+        EXPECT_EQ(R.ConfigsVisited, Base.ConfigsVisited) << Tag;
+        EXPECT_EQ(R.TerminalConfigs, Base.TerminalConfigs) << Tag;
+      } else if (Mode == Reduction::Persistent) {
+        // Persistent sets may skip intermediate configurations but
+        // reach every quiescent terminal.
+        EXPECT_LE(R.ConfigsVisited, Base.ConfigsVisited) << Tag;
+        EXPECT_EQ(R.TerminalConfigs, Base.TerminalConfigs) << Tag;
+      } else {
+        // Symmetry also merges terminals (quotient under renaming).
+        EXPECT_LE(R.ConfigsVisited, Base.ConfigsVisited) << Tag;
+        EXPECT_LE(R.TerminalConfigs, Base.TerminalConfigs) << Tag;
+        if (S.Symmetric) {
+          EXPECT_GT(R.SymmetryHits, 0u) << Tag;
+          EXPECT_LT(R.TerminalConfigs, Base.TerminalConfigs) << Tag;
+        } else {
+          // No identical programs: the group is trivial and the mode
+          // degenerates to Persistent exactly.
+          ExplorerReport P = runScope(S, Reduction::Persistent);
+          EXPECT_EQ(R.ConfigsVisited, P.ConfigsVisited) << Tag;
+          EXPECT_EQ(R.TerminalConfigs, P.TerminalConfigs) << Tag;
+          EXPECT_EQ(R.SymmetryHits, 0u) << Tag;
+        }
       }
     }
   }
@@ -189,7 +172,7 @@ TEST(ReductionEquivalence, BatteryMatchesFullEnumeration) {
 // fresh ids, so local logs grow without bound), but the divergent branch
 // is a commuted-pair cycle — and sleep sets prune it.  The same scope
 // that only ever truncates under Reduction::None *completes* under Sleep
-// and Persistent, with deterministic totals across engines.
+// and Persistent.
 // ---------------------------------------------------------------------------
 
 TEST(ReductionEquivalence, SleepSetsCloseDivergentBackwardSpace) {
@@ -202,25 +185,21 @@ TEST(ReductionEquivalence, SleepSetsCloseDivergentBackwardSpace) {
 
   // Full enumeration hits the depth bound — and the visited count keeps
   // growing as the bound is raised, the signature of divergence.
-  ExplorerReport None = runScope(S, Reduction::None, 1);
+  ExplorerReport None = runScope(S, Reduction::None);
   EXPECT_TRUE(None.Truncated);
 
   for (Reduction Mode :
        {Reduction::Sleep, Reduction::Persistent,
         Reduction::PersistentSymmetry}) {
-    ExplorerReport Seq = runScope(S, Mode, 1);
-    ExplorerReport Par = runScope(S, Mode, 4);
+    ExplorerReport R = runScope(S, Mode);
     std::string Tag = toString(Mode);
-    ASSERT_FALSE(Seq.Truncated)
+    ASSERT_FALSE(R.Truncated)
         << Tag << ": the reduced backward search must close";
-    ASSERT_FALSE(Par.Truncated) << Tag;
-    EXPECT_TRUE(Seq.clean()) << Tag << ": " << Seq.FirstFailure;
+    EXPECT_TRUE(R.clean()) << Tag << ": " << R.FirstFailure;
     // Both quiescent terminals (t0-then-t1 and t1-then-t0 commit orders)
-    // survive the reduction, on both engines.
-    EXPECT_EQ(Seq.TerminalConfigs, 2u) << Tag;
-    EXPECT_EQ(Par.TerminalConfigs, 2u) << Tag;
-    EXPECT_EQ(Par.ConfigsVisited, Seq.ConfigsVisited) << Tag;
-    EXPECT_LT(Seq.ConfigsVisited, None.ConfigsVisited)
+    // survive the reduction.
+    EXPECT_EQ(R.TerminalConfigs, 2u) << Tag;
+    EXPECT_LT(R.ConfigsVisited, None.ConfigsVisited)
         << Tag << ": closing the space must also shrink it";
   }
 }
@@ -239,8 +218,8 @@ TEST(ReductionEquivalence, SymmetryMeetsReductionTarget) {
           /*Backward=*/false,
           /*Invariants=*/false,
           /*Symmetric=*/true};
-  ExplorerReport None = runScope(S, Reduction::None, 1);
-  ExplorerReport PS = runScope(S, Reduction::PersistentSymmetry, 1);
+  ExplorerReport None = runScope(S, Reduction::None);
+  ExplorerReport PS = runScope(S, Reduction::PersistentSymmetry);
   ASSERT_FALSE(None.Truncated);
   ASSERT_FALSE(PS.Truncated);
   EXPECT_TRUE(None.clean()) << None.FirstFailure;
@@ -318,14 +297,13 @@ Scope injectedBugScope() {
           /*Symmetric=*/false};
 }
 
-ExplorerReport runInjected(const Scope &S, Reduction Mode, unsigned Threads,
+ExplorerReport runInjected(const Scope &S, Reduction Mode,
                            const std::string &DisabledCriterion,
                            bool CheckInvariants) {
   auto Spec = S.MakeSpec();
   MoverChecker Movers(*Spec);
   ExplorerConfig EC;
   EC.Reduce = Mode;
-  EC.Threads = Threads;
   EC.MaxConfigs = 2000000;
   EC.CheckInvariants = CheckInvariants;
   EC.Machine.DisabledCriterion = DisabledCriterion;
@@ -341,18 +319,18 @@ ExplorerReport runInjected(const Scope &S, Reduction Mode, unsigned Threads,
 TEST(ReductionSoundness, InjectedPushCriterionBugFoundUnderEveryMode) {
   Scope S = injectedBugScope();
 
-  // With invariant checking on, the pool's invariant path is pinned too:
-  // the planted bug also breaks the Section 5.3 invariants, and every
-  // mode must count the same violations at 1 and 4 workers.
+  // With invariant checking on, the invariant path is pinned too: the
+  // planted bug also breaks the Section 5.3 invariants, and every mode
+  // must count the same violations.
   for (bool Invariants : {false, true}) {
     std::string Inv = Invariants ? " / invariants" : "";
     // Sanity: the scope is clean without the injection.
-    ExplorerReport Clean = runInjected(S, Reduction::None, 1, "", Invariants);
+    ExplorerReport Clean = runInjected(S, Reduction::None, "", Invariants);
     ASSERT_FALSE(Clean.Truncated) << Inv;
     ASSERT_TRUE(Clean.clean()) << Inv << ": " << Clean.FirstFailure;
 
-    ExplorerReport Base = runInjected(S, Reduction::None, 1,
-                                      "PUSH criterion (ii)", Invariants);
+    ExplorerReport Base =
+        runInjected(S, Reduction::None, "PUSH criterion (ii)", Invariants);
     ASSERT_FALSE(Base.Truncated) << Inv;
     ASSERT_GT(Base.NonSerializable, 0u)
         << "the planted bug must produce a non-serializable terminal" << Inv;
@@ -362,22 +340,19 @@ TEST(ReductionSoundness, InjectedPushCriterionBugFoundUnderEveryMode) {
     }
 
     for (Reduction Mode : AllModes) {
-      for (unsigned Threads : {1u, 4u}) {
-        ExplorerReport R =
-            runInjected(S, Mode, Threads, "PUSH criterion (ii)", Invariants);
-        std::string Tag = std::string(toString(Mode)) +
-                          " / threads=" + std::to_string(Threads) + Inv;
-        ASSERT_FALSE(R.Truncated) << Tag;
-        // Reduction must never prune the counterexample...
-        EXPECT_GT(R.NonSerializable, 0u) << Tag;
-        // ...and must report it reproducibly.
-        EXPECT_FALSE(R.FirstFailure.empty()) << Tag;
-        // Sleep and persistent reach the exact same terminal classes, so
-        // the failure *count* is preserved too; symmetry quotients it but
-        // this scope's programs are distinct, so it degenerates likewise.
-        EXPECT_EQ(R.NonSerializable, Base.NonSerializable) << Tag;
-        EXPECT_EQ(R.InvariantViolations, Base.InvariantViolations) << Tag;
-      }
+      ExplorerReport R =
+          runInjected(S, Mode, "PUSH criterion (ii)", Invariants);
+      std::string Tag = std::string(toString(Mode)) + Inv;
+      ASSERT_FALSE(R.Truncated) << Tag;
+      // Reduction must never prune the counterexample...
+      EXPECT_GT(R.NonSerializable, 0u) << Tag;
+      // ...and must report it reproducibly.
+      EXPECT_FALSE(R.FirstFailure.empty()) << Tag;
+      // Sleep and persistent reach the exact same terminal classes, so
+      // the failure *count* is preserved too; symmetry quotients it but
+      // this scope's programs are distinct, so it degenerates likewise.
+      EXPECT_EQ(R.NonSerializable, Base.NonSerializable) << Tag;
+      EXPECT_EQ(R.InvariantViolations, Base.InvariantViolations) << Tag;
     }
   }
 }
@@ -646,7 +621,7 @@ TEST(Independence, SymmetryGroupShape) {
 // ---------------------------------------------------------------------------
 // The certified commutativity table (ExplorerConfig::CommutDB): enabling
 // the PUSH x PUSH refinement plus the G-order quotient must preserve
-// every verdict on every mode x thread count, and the DB run's terminal
+// every verdict on every mode, and the DB run's terminal
 // set must be exactly the quotient image of the baseline's terminals.
 // ---------------------------------------------------------------------------
 
@@ -664,13 +639,12 @@ struct DBRun {
 };
 
 DBRun runScopeQuotient(const SequentialSpec &Spec, const Scope &S,
-                       Reduction Mode, unsigned Threads, bool UseDB,
+                       Reduction Mode, bool UseDB,
                        const std::string &Inject = "") {
   MoverChecker Movers(Spec);
   CommutativityDB DB(Spec);
   ExplorerConfig EC;
   EC.Reduce = Mode;
-  EC.Threads = Threads;
   EC.CheckInvariants = S.Invariants;
   EC.MaxConfigs = 2000000;
   EC.MaxDepth = 64;
@@ -678,11 +652,8 @@ DBRun runScopeQuotient(const SequentialSpec &Spec, const Scope &S,
   if (UseDB)
     EC.CommutDB = &DB;
   DBRun Out;
-  std::mutex Mu;
   EC.OnTerminal = [&](const PushPullMachine &M) {
-    std::string Key = M.configKey(nullptr, &DB, nullptr);
-    std::lock_guard<std::mutex> Lock(Mu);
-    Out.Terminals.push_back(std::move(Key));
+    Out.Terminals.push_back(M.configKey(nullptr, &DB, nullptr));
   };
   std::vector<std::vector<CodePtr>> Ps;
   for (const std::string &P : S.Programs)
@@ -727,33 +698,26 @@ std::vector<Scope> commutScopes() {
 TEST(CommutativityReduction, DBPreservesVerdictsAndTerminalQuotient) {
   for (const Scope &S : commutScopes()) {
     for (Reduction Mode : AllModes) {
-      for (unsigned Threads : {1u, 4u}) {
-        auto Spec = S.MakeSpec();
-        DBRun Base =
-            runScopeQuotient(*Spec, S, Mode, Threads, /*UseDB=*/false);
-        DBRun WithDB =
-            runScopeQuotient(*Spec, S, Mode, Threads, /*UseDB=*/true);
-        std::string Tag = std::string(S.Name) + " / " + toString(Mode) +
-                          " / threads=" + std::to_string(Threads);
-        ASSERT_FALSE(Base.R.Truncated) << Tag;
-        ASSERT_FALSE(WithDB.R.Truncated) << Tag;
-        EXPECT_TRUE(Base.R.clean()) << Tag << ": " << Base.R.FirstFailure;
-        EXPECT_TRUE(WithDB.R.clean()) << Tag << ": "
-                                      << WithDB.R.FirstFailure;
-        EXPECT_EQ(WithDB.R.NonSerializable, Base.R.NonSerializable) << Tag;
-        EXPECT_EQ(WithDB.R.InvariantViolations,
-                  Base.R.InvariantViolations)
-            << Tag;
-        // The quotient merges configurations, never invents them.
-        EXPECT_LE(WithDB.R.ConfigsVisited, Base.R.ConfigsVisited) << Tag;
-        // Terminal sets agree once both are rendered through the
-        // quotient key.  (Symmetry canonicalization happens before the
-        // OnTerminal hook only for the visited-map, not for the machine
-        // itself, so the hook sees representative machines; outside
-        // symmetry mode the comparison is exact.)
-        if (Mode != Reduction::PersistentSymmetry)
-          EXPECT_EQ(WithDB.Terminals, Base.Terminals) << Tag;
-      }
+      auto Spec = S.MakeSpec();
+      DBRun Base = runScopeQuotient(*Spec, S, Mode, /*UseDB=*/false);
+      DBRun WithDB = runScopeQuotient(*Spec, S, Mode, /*UseDB=*/true);
+      std::string Tag = std::string(S.Name) + " / " + toString(Mode);
+      ASSERT_FALSE(Base.R.Truncated) << Tag;
+      ASSERT_FALSE(WithDB.R.Truncated) << Tag;
+      EXPECT_TRUE(Base.R.clean()) << Tag << ": " << Base.R.FirstFailure;
+      EXPECT_TRUE(WithDB.R.clean()) << Tag << ": " << WithDB.R.FirstFailure;
+      EXPECT_EQ(WithDB.R.NonSerializable, Base.R.NonSerializable) << Tag;
+      EXPECT_EQ(WithDB.R.InvariantViolations, Base.R.InvariantViolations)
+          << Tag;
+      // The quotient merges configurations, never invents them.
+      EXPECT_LE(WithDB.R.ConfigsVisited, Base.R.ConfigsVisited) << Tag;
+      // Terminal sets agree once both are rendered through the quotient
+      // key.  (Symmetry canonicalization happens before the OnTerminal
+      // hook only for the visited-map, not for the machine itself, so the
+      // hook sees representative machines; outside symmetry mode the
+      // comparison is exact.)
+      if (Mode != Reduction::PersistentSymmetry)
+        EXPECT_EQ(WithDB.Terminals, Base.Terminals) << Tag;
     }
   }
 }
@@ -768,8 +732,8 @@ TEST(CommutativityReduction, DBShrinksDistinctKeyMapScope) {
           /*Symmetric=*/false};
   for (Reduction Mode : {Reduction::Sleep, Reduction::PersistentSymmetry}) {
     auto Spec = S.MakeSpec();
-    DBRun Base = runScopeQuotient(*Spec, S, Mode, 1, /*UseDB=*/false);
-    DBRun WithDB = runScopeQuotient(*Spec, S, Mode, 1, /*UseDB=*/true);
+    DBRun Base = runScopeQuotient(*Spec, S, Mode, /*UseDB=*/false);
+    DBRun WithDB = runScopeQuotient(*Spec, S, Mode, /*UseDB=*/true);
     std::string Tag = toString(Mode);
     ASSERT_FALSE(Base.R.Truncated) << Tag;
     ASSERT_FALSE(WithDB.R.Truncated) << Tag;
@@ -793,9 +757,9 @@ TEST(CommutativityReduction, InjectedBugStillFoundWithDB) {
   // space — while the raw baseline only lower-bounds detection.
   Scope S = injectedBugScope();
   auto Spec = S.MakeSpec();
-  DBRun Raw = runScopeQuotient(*Spec, S, Reduction::None, 1, /*UseDB=*/false,
+  DBRun Raw = runScopeQuotient(*Spec, S, Reduction::None, /*UseDB=*/false,
                                "PUSH criterion (ii)");
-  DBRun Base = runScopeQuotient(*Spec, S, Reduction::None, 1, /*UseDB=*/true,
+  DBRun Base = runScopeQuotient(*Spec, S, Reduction::None, /*UseDB=*/true,
                                 "PUSH criterion (ii)");
   ASSERT_FALSE(Raw.R.Truncated);
   ASSERT_FALSE(Base.R.Truncated);
@@ -806,15 +770,12 @@ TEST(CommutativityReduction, InjectedBugStillFoundWithDB) {
   // full enumerations, buggy machine included.
   EXPECT_EQ(Base.Terminals, Raw.Terminals);
   for (Reduction Mode : AllModes) {
-    for (unsigned Threads : {1u, 4u}) {
-      DBRun R = runScopeQuotient(*Spec, S, Mode, Threads, /*UseDB=*/true,
-                                 "PUSH criterion (ii)");
-      std::string Tag = std::string(toString(Mode)) +
-                        " / threads=" + std::to_string(Threads);
-      ASSERT_FALSE(R.R.Truncated) << Tag;
-      EXPECT_GT(R.R.NonSerializable, 0u) << Tag;
-      EXPECT_EQ(R.R.NonSerializable, Base.R.NonSerializable) << Tag;
-      EXPECT_FALSE(R.R.FirstFailure.empty()) << Tag;
-    }
+    DBRun R = runScopeQuotient(*Spec, S, Mode, /*UseDB=*/true,
+                               "PUSH criterion (ii)");
+    std::string Tag = toString(Mode);
+    ASSERT_FALSE(R.R.Truncated) << Tag;
+    EXPECT_GT(R.R.NonSerializable, 0u) << Tag;
+    EXPECT_EQ(R.R.NonSerializable, Base.R.NonSerializable) << Tag;
+    EXPECT_FALSE(R.R.FirstFailure.empty()) << Tag;
   }
 }

@@ -6,18 +6,19 @@
 // checks that three ways:
 //
 //  * aliasing: mutating a copy never changes what the original renders
-//    (configKey, logs, committed history), and vice versa;
+//    (configKey, logs, committed history), and vice versa, and the copy
+//    shares the original's chunks rather than cloning them;
 //  * lockstep: a machine that is re-snapshotted before every rule firing
 //    (with old snapshots pinned alive, maximizing shared structure)
 //    produces the identical configKey trajectory as one driven in place;
 //  * state-graph goldens: explorer totals on fixed scopes — functions of
-//    the interned configuration keys — equal, across reduction modes and
-//    worker counts, the values the pre-CoW deep-copy machine produced
-//    (recorded from the PR 3 build, same scopes, same bounds);
+//    the interned configuration keys — equal, across reduction modes, the
+//    values the pre-CoW deep-copy machine produced (recorded from an
+//    earlier build, same scopes, same bounds);
 //
 // plus an allocation-regression bound on the fixed E12 scope: visiting a
 // configuration must cost O(1) chunk traffic, not a full-log copy, and
-// the sequential search, which fires in place and rolls back, none.
+// the search, which fires in place and rolls back, copies no machine.
 //
 //===----------------------------------------------------------------------===//
 
@@ -97,7 +98,14 @@ TEST(Snapshot, CopyIsObservationallyIndependent) {
     ASSERT_TRUE(stepOnce(M));
   std::string KeyAtShare = M.configKey();
 
+  // The copy shares every chunk the original owns: one machine copy, some
+  // O(1) chain shares, no chunk cloned.
+  memstats::Snapshot Before = memstats::read();
   PushPullMachine Copy(M);
+  memstats::Snapshot D = memstats::read().delta(Before);
+  EXPECT_EQ(D.MachineCopies, 1u);
+  EXPECT_GT(D.ChunkShares, 0u);
+  EXPECT_EQ(D.DeepCopies, 0u);
   EXPECT_EQ(Copy.configKey(), KeyAtShare);
 
   // Drive the copy to quiescence; the original must not move.
@@ -201,26 +209,19 @@ TEST(Snapshot, ExplorerTotalsMatchDeepCopyGoldens) {
   };
   for (size_t SI = 0; SI < Scopes.size(); ++SI) {
     for (const Golden &G : Scopes[SI].PerMode) {
-      for (unsigned Threads : {1u, 4u}) {
-        auto Spec = Scopes[SI].MakeSpec();
-        MoverChecker Movers(*Spec);
-        ExplorerConfig EC;
-        EC.Reduce = G.Mode;
-        EC.Threads = Threads;
-        Explorer E(*Spec, Movers, EC);
-        ExplorerReport R = E.explore(parsePrograms(Scopes[SI].Programs));
-        std::string Tag = "scope " + std::to_string(SI) + " / " +
-                          toString(G.Mode) +
-                          " / threads=" + std::to_string(Threads);
-        ASSERT_FALSE(R.Truncated) << Tag;
-        EXPECT_EQ(R.ConfigsVisited, G.Configs) << Tag;
-        EXPECT_EQ(R.TerminalConfigs, G.Terminals) << Tag;
-        EXPECT_TRUE(R.clean()) << Tag << ": " << R.FirstFailure;
-        // Work counters are deterministic only sequentially.
-        if (Threads == 1) {
-          EXPECT_EQ(R.FiringsPruned, G.Pruned) << Tag;
-        }
-      }
+      auto Spec = Scopes[SI].MakeSpec();
+      MoverChecker Movers(*Spec);
+      ExplorerConfig EC;
+      EC.Reduce = G.Mode;
+      Explorer E(*Spec, Movers, EC);
+      ExplorerReport R = E.explore(parsePrograms(Scopes[SI].Programs));
+      std::string Tag =
+          "scope " + std::to_string(SI) + " / " + toString(G.Mode);
+      ASSERT_FALSE(R.Truncated) << Tag;
+      EXPECT_EQ(R.ConfigsVisited, G.Configs) << Tag;
+      EXPECT_EQ(R.TerminalConfigs, G.Terminals) << Tag;
+      EXPECT_EQ(R.FiringsPruned, G.Pruned) << Tag;
+      EXPECT_TRUE(R.clean()) << Tag << ": " << R.FirstFailure;
     }
   }
 }
@@ -232,26 +233,21 @@ TEST(Snapshot, ExplorerTotalsMatchDeepCopyGoldens) {
 TEST(Snapshot, AllocationBoundsOnE12Scope) {
   std::vector<std::vector<CodePtr>> Programs = parsePrograms(
       {"tx { c.inc(0) }", "tx { c.inc(0) }", "tx { c.inc(0) }"});
-  auto Run = [&](unsigned Threads, ExplorerReport &R) {
-    CounterSpec Spec("c", 1, 3);
-    MoverChecker Movers(Spec);
-    ExplorerConfig EC;
-    EC.Reduce = Reduction::None;
-    EC.Threads = Threads;
-    Explorer E(Spec, Movers, EC);
-    memstats::Snapshot Before = memstats::read();
-    R = E.explore(Programs);
-    return memstats::read().delta(Before);
-  };
+  CounterSpec Spec("c", 1, 3);
+  MoverChecker Movers(Spec);
+  ExplorerConfig EC;
+  EC.Reduce = Reduction::None;
+  Explorer E(Spec, Movers, EC);
 
-  // The sequential search fires every successor in place and rolls it
-  // back, so it copies no machine, and the chains it owns outright are
-  // written in place.  The measured values on this scope are 0 deep
-  // copies and ~125 B of fresh chunks per configuration; the bounds leave
-  // slack for layout drift but would catch any return to copying
-  // successors (~1.9 deep copies and ~4.9 KiB per configuration).
-  ExplorerReport R;
-  memstats::Snapshot D = Run(1, R);
+  // The search fires every successor in place and rolls it back, so it
+  // copies no machine, and the chains it owns outright are written in
+  // place.  The measured values on this scope are 0 deep copies and
+  // ~125 B of fresh chunks per configuration; the bounds leave slack for
+  // layout drift but would catch any return to copying successors (~1.9
+  // deep copies and ~4.9 KiB per configuration).
+  memstats::Snapshot Before = memstats::read();
+  ExplorerReport R = E.explore(Programs);
+  memstats::Snapshot D = memstats::read().delta(Before);
   ASSERT_EQ(R.ConfigsVisited, 4923u);
   double PerConfigDeep =
       static_cast<double>(D.DeepCopies) / static_cast<double>(R.ConfigsVisited);
@@ -260,12 +256,4 @@ TEST(Snapshot, AllocationBoundsOnE12Scope) {
   EXPECT_EQ(D.MachineCopies, 0u);
   EXPECT_LT(PerConfigDeep, 0.05);
   EXPECT_LT(PerConfigBytes, 512.0);
-
-  // The worker pool hands each successor to its queue as a machine copy,
-  // so there the sharing machinery is exercised.
-  ExplorerReport RP;
-  memstats::Snapshot DP = Run(4, RP);
-  ASSERT_EQ(RP.ConfigsVisited, 4923u);
-  EXPECT_GT(DP.MachineCopies, RP.ConfigsVisited / 2);
-  EXPECT_GT(DP.ChunkShares, DP.DeepCopies);
 }

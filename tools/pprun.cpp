@@ -13,7 +13,6 @@
 //                                     criterion's verdict)
 //   pprun --stats <scenario-file>     also print interning/memoization
 //                                     effectiveness counters
-//   pprun --threads N ...             worker threads for `check explore`
 //   pprun --reduction MODE ...        partial-order reduction for `check
 //                                     explore`: none | sleep | persistent |
 //                                     persistent+symmetry
@@ -64,7 +63,6 @@ int main(int argc, char **argv) {
   bool Example = false, ShowTrace = false, ShowCriteria = false,
        ShowStats = false, UseCommutDB = false, StaticProve = false;
   // Zero means "not given": every numeric option is at least 1.
-  unsigned Threads = 0;
   size_t MaxPairs = 0, MaxReachable = 0;
   std::string ReduceMode, Path;
   cli::OptionTable Opts("pprun", "pprun [options] <scenario-file>\n"
@@ -73,7 +71,6 @@ int main(int argc, char **argv) {
       .flag("--trace", ShowTrace, "also print the full rule trace")
       .flag("--criteria", ShowCriteria, "also print the criteria audit")
       .flag("--stats", ShowStats, "also print the cache counters")
-      .number("--threads", Threads, 1, "worker threads for check explore")
       .text("--reduction", "MODE", ReduceMode,
             "partial-order reduction for check explore", reductionNames())
       .number("--max-pairs", MaxPairs, 1, "precongruence pair budget")
@@ -94,8 +91,6 @@ int main(int argc, char **argv) {
   if (!Parsed)
     return 2;
   Scenario &S = *Parsed;
-  if (Threads > 0)
-    S.ExplorerThreads = Threads;
   if (!ReduceMode.empty())
     reductionFromString(ReduceMode, S.ExplorerReduction);
   if (MaxPairs > 0)
